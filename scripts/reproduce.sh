@@ -38,8 +38,16 @@ ctest --test-dir build --output-on-failure -j"$(nproc)" 2>&1 |
     start=$(date +%s%N)
     case "$(basename "$b")" in
       micro_simulator)
-        # Google-benchmark harness: times single runs; no --jobs.
-        "$b"
+        # Google-benchmark harness: times single runs; no --jobs. Its
+        # per-state tick rates (idle, gated-idle, loaded, CMP) are the
+        # per-layer tick record, results/BENCH_tick.json.
+        "$b" --benchmark_out=results/BENCH_tick.json \
+          --benchmark_out_format=json
+        [ -s results/BENCH_tick.json ] || {
+          echo "ERROR: results/BENCH_tick.json is empty or missing" >&2
+          exit 1
+        }
+        echo "[json] wrote results/BENCH_tick.json"
         ;;
       *)
         "$b" --jobs "$JOBS"

@@ -47,7 +47,7 @@ class RingFifo
     push(const T &v)
     {
         CATNAP_ASSERT(!full(), "push into full FIFO");
-        slots_[(head_ + size_) % slots_.size()] = v;
+        slots_[wrap(head_ + size_)] = v;
         ++size_;
     }
 
@@ -73,7 +73,7 @@ class RingFifo
     {
         CATNAP_ASSERT(!empty(), "pop from empty FIFO");
         T v = slots_[head_];
-        head_ = (head_ + 1) % slots_.size();
+        head_ = wrap(head_ + 1);
         --size_;
         return v;
     }
@@ -83,7 +83,7 @@ class RingFifo
     at(std::size_t i) const
     {
         CATNAP_ASSERT(i < size_, "FIFO index out of range");
-        return slots_[(head_ + i) % slots_.size()];
+        return slots_[wrap(head_ + i)];
     }
 
     /** Drops all elements. */
@@ -95,6 +95,14 @@ class RingFifo
     }
 
   private:
+    /** Folds a position in [0, 2 * capacity) back into the ring: a
+     * compare instead of a division on the per-flit path. */
+    std::size_t
+    wrap(std::size_t pos) const
+    {
+        return pos >= slots_.size() ? pos - slots_.size() : pos;
+    }
+
     std::vector<T> slots_;
     std::size_t head_ = 0;
     std::size_t size_ = 0;

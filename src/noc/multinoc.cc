@@ -63,6 +63,10 @@ MultiNoc::MultiNoc(const MultiNocConfig &cfg)
                       (cfg.num_vcs / cfg.num_classes) % 2 == 0,
                   "torus needs an even number of VCs per class for the"
                   " dateline pairs");
+    CATNAP_ASSERT(cfg.num_vcs >= 1 && cfg.num_vcs <= Router::kMaxVcs,
+                  "num_vcs must be in [1, ", Router::kMaxVcs, "]: the"
+                  " routers' allocation request mask has one bit per"
+                  " (port, VC) in 64 bits; got ", cfg.num_vcs);
 
     subnet_params_.link_width_bits = cfg.subnet_link_bits();
     subnet_params_.num_vcs = cfg.num_vcs;

@@ -1,6 +1,7 @@
 #include "noc/router.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "ckpt/codec.h"
@@ -15,6 +16,13 @@ namespace {
  * (conceptually unbounded) reassembly buffers. */
 constexpr int kLocalPortCredits = std::numeric_limits<int>::max() / 2;
 
+/** The request-mask bit of input FIFO @p idx. */
+constexpr std::uint64_t
+slot_bit(std::size_t idx)
+{
+    return std::uint64_t{1} << idx;
+}
+
 } // namespace
 
 Router::Router(NodeId node, SubnetId subnet, const SubnetParams &params,
@@ -23,8 +31,15 @@ Router::Router(NodeId node, SubnetId subnet, const SubnetParams &params,
 {
     CATNAP_ASSERT(params_.num_vcs > 0 && params_.vc_depth_flits > 0,
                   "router needs VCs and buffer depth");
+    CATNAP_ASSERT(params_.num_vcs <= kMaxVcs,
+                  "at most ", kMaxVcs, " VCs per port fit the 64-bit"
+                  " allocation request mask; got ", params_.num_vcs);
     CATNAP_ASSERT(params_.num_vcs % params_.num_classes == 0,
                   "VCs must partition evenly across message classes");
+    class_span_ = params_.vcs_per_class();
+    for (int mc = 0; mc < kNumMessageClasses; ++mc)
+        class_first_vc_[static_cast<std::size_t>(mc)] =
+            params_.first_vc_of_class(mc % params_.num_classes);
 
     const auto slots =
         static_cast<std::size_t>(kNumPorts * params_.num_vcs);
@@ -90,36 +105,66 @@ Router::run_vc_allocation(Cycle now)
     (void)now;
     const int num_vcs = params_.num_vcs;
     const int slots = kNumPorts * num_vcs;
+    const std::uint64_t port_bits = (std::uint64_t{1} << num_vcs) - 1;
 
-    // For each output port, scan head-of-VC head flits requesting that
-    // port in round-robin order and hand out free downstream VCs within
-    // the packet's message-class partition.
+    // Requests per output port: non-empty input VCs not yet holding a
+    // downstream VC whose front flit is a head routed to that port. A
+    // head never requests the port it entered by (no U-turns; X-Y
+    // routing never needs them).
+    std::array<std::uint64_t, kNumPorts> requests{};
+    for (int inport = 0; inport < kNumPorts; ++inport) {
+        std::uint64_t bits = nonempty_ & (port_bits << (inport * num_vcs));
+        while (bits != 0) {
+            const auto slot = static_cast<std::size_t>(std::countr_zero(bits));
+            bits &= bits - 1;
+            if (vc_state_[slot].active)
+                continue;
+            const Flit &head = fifos_[slot].front();
+            const int out = port_index(head.out_dir);
+            if (head.is_head() && out != inport)
+                requests[static_cast<std::size_t>(out)] |= slot_bit(slot);
+        }
+    }
+
+    // For each output port, hand out free downstream VCs within each
+    // requesting packet's message-class partition, in round-robin order
+    // over the port*vc slots. The order is that of a scan whose
+    // iteration i visits slot (va_rr_ + i) mod slots, re-reading va_rr_
+    // after each grant, for at most `slots` iterations and num_vcs
+    // grants: a grant at slot s in iteration i moves va_rr_ to s + 1 and
+    // the scan on to s + 1 + (i + 1). Only requesting slots are visited;
+    // `i` still counts the skipped ones, so the scan ends where the
+    // full scan would.
     for (int out = 0; out < kNumPorts; ++out) {
+        const auto o = static_cast<std::size_t>(out);
+        std::uint64_t req = requests[o];
+        int cur = va_rr_[o]; // slot visited by iteration i
+        int i = 0;
         int granted = 0;
-        for (int i = 0; i < slots && granted < num_vcs; ++i) {
-            const int slot = (va_rr_[static_cast<std::size_t>(out)] + i)
-                             % slots;
-            const int inport = slot / num_vcs;
-            if (inport == out)
-                continue; // no U-turns (X-Y routing never needs them)
+        while (req != 0 && granted < num_vcs) {
+            const std::uint64_t ahead = req & (~std::uint64_t{0} << cur);
+            const int slot = std::countr_zero(ahead != 0 ? ahead : req);
+            i += slot >= cur ? slot - cur : slot + slots - cur;
+            if (i >= slots)
+                break;
+            // Visited once: a granted slot is active from now on, and one
+            // that finds no free VC finds none later in this scan either
+            // (this scan only takes VCs of this port).
+            req &= ~slot_bit(static_cast<std::size_t>(slot));
+            ++i;
+            const int next = slot + 1 == slots ? 0 : slot + 1;
+            cur = next;
+
             auto &st = vc_state_[static_cast<std::size_t>(slot)];
-            const auto &fifo = fifos_[static_cast<std::size_t>(slot)];
-            if (st.active || fifo.empty())
-                continue;
-            const Flit &head = fifo.front();
-            if (!head.is_head() ||
-                port_index(head.out_dir) != out) {
-                continue;
-            }
+            const Flit &head = fifos_[static_cast<std::size_t>(slot)].front();
             // Find a free VC in this message class's partition. On a
             // torus each partition is split into a dateline pair: the
             // lower half serves packets that have not crossed their
             // ring's wrap link (counting a crossing on this very hop),
             // the upper half those that have. This breaks the ring
             // buffer-dependency cycles, making DOR deadlock free.
-            const int cls = static_cast<int>(head.mc) % params_.num_classes;
-            int base = params_.first_vc_of_class(cls);
-            int span = params_.vcs_per_class();
+            int base = class_first_vc_[static_cast<std::size_t>(head.mc)];
+            int span = class_span_;
             if (mesh_.is_torus() && head.out_dir != Direction::kLocal) {
                 span /= 2;
                 const bool crossed =
@@ -145,7 +190,10 @@ Router::run_vc_allocation(Cycle now)
             ++granted;
             ++activity_.arb_ops;
             // Rotate priority past this requestor for fairness.
-            va_rr_[static_cast<std::size_t>(out)] = (slot + 1) % slots;
+            va_rr_[o] = next;
+            cur = next + i;
+            if (cur >= slots)
+                cur -= slots;
         }
     }
 }
@@ -154,21 +202,33 @@ void
 Router::run_switch_allocation(Cycle now)
 {
     const int num_vcs = params_.num_vcs;
+    const std::uint64_t port_bits = (std::uint64_t{1} << num_vcs) - 1;
+    const Cycle arrival =
+        now + static_cast<Cycle>(params_.st_delay + params_.link_delay);
 
     // Input-first separable allocation: each input port nominates one
     // ready VC, then each output port picks one nominating input port.
     std::array<int, kNumPorts> nominee_vc;
     nominee_vc.fill(-1);
+    unsigned nominated_outs = 0; // bit per output port with a nominee
 
     for (int inport = 0; inport < kNumPorts; ++inport) {
-        for (int i = 0; i < num_vcs; ++i) {
-            const int invc =
-                (sa_input_rr_[static_cast<std::size_t>(inport)] + i)
-                % num_vcs;
-            const auto idx = fifo_index(inport, invc);
-            const auto &st = vc_state_[idx];
-            const auto &fifo = fifos_[idx];
-            if (!st.active || fifo.empty())
+        const std::uint64_t bits =
+            (nonempty_ >> (inport * num_vcs)) & port_bits;
+        if (bits == 0)
+            continue;
+        // Rotate so bit k stands for VC (sa_input_rr_ + k) mod num_vcs:
+        // the lowest set bit is then the next VC in round-robin order.
+        const int rr = sa_input_rr_[static_cast<std::size_t>(inport)];
+        std::uint64_t order =
+            ((bits >> rr) | (bits << (num_vcs - rr))) & port_bits;
+        while (order != 0) {
+            int invc = rr + std::countr_zero(order);
+            order &= order - 1;
+            if (invc >= num_vcs)
+                invc -= num_vcs;
+            const auto &st = vc_state_[fifo_index(inport, invc)];
+            if (!st.active)
                 continue;
             const int out = port_index(st.out_dir);
             if (out_credits_[fifo_index(out, st.out_vc)] <= 0)
@@ -178,9 +238,6 @@ Router::run_switch_allocation(Cycle now)
                     neighbors_[static_cast<std::size_t>(out)];
                 CATNAP_ASSERT(nbr != nullptr,
                               "route out of mesh at node ", node_);
-                const Cycle arrival =
-                    now + static_cast<Cycle>(params_.st_delay
-                                             + params_.link_delay);
                 if (!nbr->can_accept_at(arrival))
                     continue;
                 if (params_.port_gating &&
@@ -189,8 +246,9 @@ Router::run_switch_allocation(Cycle now)
                     continue;
                 }
             }
-            if (nominee_vc[static_cast<std::size_t>(inport)] < 0)
-                nominee_vc[static_cast<std::size_t>(inport)] = invc;
+            nominee_vc[static_cast<std::size_t>(inport)] = invc;
+            nominated_outs |= 1u << out;
+            break;
         }
     }
 
@@ -198,19 +256,21 @@ Router::run_switch_allocation(Cycle now)
     std::array<int, kNumPorts> winner_in;
     winner_in.fill(-1);
     for (int out = 0; out < kNumPorts; ++out) {
+        if ((nominated_outs & (1u << out)) == 0)
+            continue;
+        const auto o = static_cast<std::size_t>(out);
         for (int i = 0; i < kNumPorts; ++i) {
-            const int inport =
-                (sa_output_rr_[static_cast<std::size_t>(out)] + i)
-                % kNumPorts;
+            int inport = sa_output_rr_[o] + i;
+            if (inport >= kNumPorts)
+                inport -= kNumPorts;
             const int invc = nominee_vc[static_cast<std::size_t>(inport)];
             if (invc < 0)
                 continue;
             const auto &st = vc_state_[fifo_index(inport, invc)];
             if (port_index(st.out_dir) != out)
                 continue;
-            winner_in[static_cast<std::size_t>(out)] = inport;
-            sa_output_rr_[static_cast<std::size_t>(out)] =
-                (inport + 1) % kNumPorts;
+            winner_in[o] = inport;
+            sa_output_rr_[o] = inport + 1 == kNumPorts ? 0 : inport + 1;
             break;
         }
     }
@@ -227,8 +287,10 @@ Router::run_switch_allocation(Cycle now)
 
         Flit f = fifo.pop();
         --total_buffered_;
+        if (fifo.empty())
+            nonempty_ &= ~slot_bit(idx);
         sa_input_rr_[static_cast<std::size_t>(inport)] =
-            (invc + 1) % num_vcs;
+            invc + 1 == num_vcs ? 0 : invc + 1;
 
         ++activity_.buffer_reads;
         ++activity_.xbar_traversals;
@@ -378,6 +440,7 @@ Router::apply_arrivals(Cycle now)
         if (fifo.empty())
             vc_state_[idx].head_since = now + 1;
         fifo.push(a.flit);
+        nonempty_ |= slot_bit(idx);
         ++total_buffered_;
         ++activity_.buffer_writes;
 
@@ -519,6 +582,7 @@ Router::fail(std::vector<Flit> *dropped)
             dropped->push_back(fifo.pop());
     }
     total_buffered_ = 0;
+    nonempty_ = 0;
     for (auto &st : vc_state_)
         st = InputVcState{};
     for (const auto &a : arrivals_)
@@ -717,6 +781,8 @@ Router::port_occupancy(Direction p) const
 int
 Router::max_port_occupancy() const
 {
+    if (total_buffered_ == 0)
+        return 0; // congestion sampling asks every router every cycle
     int best = 0;
     for (int p = 0; p < kNumPorts; ++p)
         best = std::max(best, port_occupancy(direction_from_index(p)));
@@ -871,8 +937,12 @@ CATNAP_PHASE_WRITE void
 Router::Deserialize(ckpt::Reader &r)
 {
     ckpt::take_count_exact(r, fifos_.size(), "router input FIFO");
-    for (RingFifo<Flit> &f : fifos_)
-        ckpt::take_fifo(r, f, ckpt::take_flit);
+    nonempty_ = 0;
+    for (std::size_t i = 0; i < fifos_.size(); ++i) {
+        ckpt::take_fifo(r, fifos_[i], ckpt::take_flit);
+        if (!fifos_[i].empty())
+            nonempty_ |= slot_bit(i);
+    }
 
     ckpt::take_count_exact(r, vc_state_.size(), "router VC state");
     for (InputVcState &v : vc_state_) {

@@ -64,6 +64,10 @@ class LocalPortClient
 class Router
 {
   public:
+    /** Most VCs per input port: the allocators' request set is one bit
+     * per (port, VC) input FIFO in a 64-bit mask. */
+    static constexpr int kMaxVcs = 64 / kNumPorts;
+
     /**
      * Creates a router.
      *
@@ -415,6 +419,17 @@ class Router
     /** Input buffers: [port][vc] flattened. */
     std::vector<RingFifo<Flit>> fifos_;
     std::vector<InputVcState> vc_state_; // same indexing as fifos_
+
+    /** Bit fifo_index(port, vc) is set iff that input FIFO holds a flit:
+     * the request set both allocators walk. Derived from fifos_, so it
+     * is rebuilt on restore rather than serialized. */
+    std::uint64_t nonempty_ = 0;
+
+    /** First VC and width of each message class's VC partition
+     * (SubnetParams::first_vc_of_class / vcs_per_class), precomputed so
+     * VC allocation does no division. */
+    std::array<int, kNumMessageClasses> class_first_vc_{};
+    int class_span_ = 0;
 
     /** Output-side bookkeeping: [port][vc] flattened. */
     std::vector<std::int64_t> out_owner_; // packet id + 1, 0 == free

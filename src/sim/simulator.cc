@@ -71,6 +71,12 @@ SyntheticRun::set_load(double load)
     gen_->set_load(load);
 }
 
+void
+SyntheticRun::set_schedule(LoadSchedule schedule)
+{
+    gen_->set_schedule(std::move(schedule));
+}
+
 SyntheticResult
 SyntheticRun::finish()
 {

@@ -113,6 +113,11 @@ class SyntheticRun
     /** Changes the offered load (between fork() and finish()). */
     void set_load(double load);
 
+    /** Drives the generator by @p schedule instead of the constant
+     * load. Like SyntheticTraffic::set_schedule(), it is not part of a
+     * checkpoint. */
+    void set_schedule(LoadSchedule schedule);
+
     /**
      * In-memory deep copy sharing no mutable state with this run.
      * Observability hooks (sink/snapshots) are NOT inherited by the

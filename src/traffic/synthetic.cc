@@ -27,8 +27,6 @@ SyntheticTraffic::SyntheticTraffic(MultiNoc *net, const SyntheticConfig &cfg,
     : net_(net), cfg_(cfg)
 {
     CATNAP_ASSERT(net_ != nullptr, "traffic needs a network");
-    CATNAP_ASSERT(cfg.load >= 0.0 && cfg.load <= 1.0,
-                  "offered load must be in [0, 1] packets/node/cycle");
     Rng root(seed);
     pattern_ = make_pattern(cfg.pattern, net_->mesh(), root.split());
     const int nodes = net_->num_nodes();
@@ -49,7 +47,15 @@ SyntheticTraffic::SyntheticTraffic(MultiNoc *net, const SyntheticConfig &cfg,
                 static_cast<std::uint64_t>(cfg.burst_mean_len) + 1);
         }
     }
-    const double load = cfg.load;
+    set_load(cfg.load);
+}
+
+void
+SyntheticTraffic::set_load(double load)
+{
+    CATNAP_ASSERT(load >= 0.0 && load <= 1.0,
+                  "offered load must be in [0, 1] packets/node/cycle");
+    cfg_.load = load;
     schedule_ = [load](Cycle) { return load; };
 }
 

@@ -85,10 +85,10 @@ class SyntheticTraffic
         schedule_ = std::move(schedule);
     }
 
-    /** Changes the constant offered load. Warm-up forking uses this: a
-     * generator warmed at a base load is forked and each fork measures
-     * its own sweep point's load. */
-    void set_load(double load) { cfg_.load = load; }
+    /** Replaces the schedule with the constant offered load @p load.
+     * Warm-up forking uses this: a generator warmed at a base load is
+     * forked and each fork measures its own sweep point's load. */
+    void set_load(double load);
 
     /** Records every generated packet (not owned; may be null). */
     void set_recorder(TraceRecorder *recorder) { recorder_ = recorder; }

@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -398,32 +399,65 @@ short_params()
     return rp;
 }
 
-void
-expect_forked_sweep_identical(const MultiNocConfig &cfg)
+/** The --fork-warmup grid of @p cfg over @p loads, through the real
+ * bench helper. */
+std::vector<SyntheticResult>
+forked_sweep(const MultiNocConfig &cfg, const std::vector<double> &loads)
 {
-    const std::vector<double> loads = {0.02, 0.10, 0.30};
-    SyntheticConfig traffic;
-    const RunParams rp = short_params();
-
-    // Forked sweep through the real bench helper (--fork-warmup path).
     bench::BenchOptions opts;
     opts.fork_warmup = true;
     opts.jobs = 2;
     const auto grid =
-        bench::run_load_grid({cfg}, loads, traffic, rp, opts);
-    ASSERT_EQ(grid.size(), 1u);
-    ASSERT_EQ(grid[0].size(), loads.size());
+        bench::run_load_grid({cfg}, loads, SyntheticConfig{},
+                             short_params(), opts);
+    EXPECT_EQ(grid.size(), 1u);
+    return grid.empty() ? std::vector<SyntheticResult>{} : grid[0];
+}
 
-    // Reference: from-scratch runs that warm at the same base load and
-    // measure at the point load.
+void
+expect_forked_sweep_identical(const MultiNocConfig &cfg)
+{
+    const std::vector<double> loads = {0.02, 0.10, 0.30};
+    const RunParams rp = short_params();
+    const auto forked = forked_sweep(cfg, loads);
+    ASSERT_EQ(forked.size(), loads.size());
+
+    // Reference: from-scratch runs of the point load whose generator is
+    // driven by a schedule that offers the grid's first load during
+    // warm-up and the point load from the warm-up boundary on. This
+    // path never calls set_load(), so it cannot share a set_load() bug
+    // with the forks.
     for (std::size_t l = 0; l < loads.size(); ++l) {
-        SyntheticConfig base = traffic;
-        base.load = loads.front();
-        SyntheticRun ref(cfg, base, rp);
+        SyntheticConfig point;
+        point.load = loads[l];
+        SyntheticRun ref(cfg, point, rp);
+        const double base = loads.front();
+        const double load = loads[l];
+        const Cycle warmup = rp.warmup;
+        ref.set_schedule([base, load, warmup](Cycle now) {
+            return now < warmup ? base : load;
+        });
         ref.run_warmup();
-        ref.set_load(loads[l]);
-        const SyntheticResult want = ref.finish();
-        expect_identical(grid[0][l], want);
+        expect_identical(forked[l], ref.finish());
+    }
+}
+
+TEST(CkptForkWarmup, ForkedPointsOfferTheirOwnLoad)
+{
+    // Oracle independent of every run: each node draws one Bernoulli
+    // trial per cycle, so a point's measured offered rate lies within
+    // 6 sigma of the load it asked for.
+    const MultiNocConfig cfg = test_config();
+    const std::vector<double> loads = {0.02, 0.10, 0.30};
+    const auto forked = forked_sweep(cfg, loads);
+    ASSERT_EQ(forked.size(), loads.size());
+    const double trials = static_cast<double>(short_params().measure) *
+                          MultiNoc(cfg).num_nodes();
+    for (std::size_t l = 0; l < loads.size(); ++l) {
+        const double sigma =
+            std::sqrt(loads[l] * (1.0 - loads[l]) / trials);
+        EXPECT_NEAR(forked[l].offered_rate, loads[l], 6.0 * sigma)
+            << "forked point " << l;
     }
 }
 

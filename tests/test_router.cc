@@ -1,17 +1,17 @@
 /**
  * @file
  * Router-level unit tests: credit-flow invariants, wormhole contiguity,
- * arbitration fairness, look-ahead route stamping, and edge behaviour.
- * These drive small meshes directly so individual router mechanisms are
- * observable.
+ * arbitration fairness and allocation order, look-ahead route stamping,
+ * and edge behaviour. These drive small meshes, or a single hand-fed
+ * router, directly so individual router mechanisms are observable.
  */
 #include <gtest/gtest.h>
 
 #include <map>
-#include <optional>
-#include <set>
+#include <memory>
+#include <string>
+#include <vector>
 
-#include "noc/arbiter.h"
 #include "noc/multinoc.h"
 #include "test_util.h"
 #include "traffic/synthetic.h"
@@ -153,34 +153,6 @@ TEST(RouterUnit, ArbitrationIsStarvationFree)
     EXPECT_LT(ratio, 1.25);
 }
 
-TEST(RouterUnit, RoundRobinArbiterRotates)
-{
-    RoundRobinArbiter arb(4);
-    std::vector<bool> req{true, true, true, true};
-    std::set<int> grants;
-    for (int i = 0; i < 4; ++i) {
-        const std::optional<int> g = arb.arbitrate(req);
-        ASSERT_TRUE(g.has_value());
-        grants.insert(*g);
-    }
-    EXPECT_EQ(grants.size(), 4u); // all requestors served in 4 rounds
-}
-
-TEST(RouterUnit, ArbiterNoRequestsNoGrant)
-{
-    RoundRobinArbiter arb(3);
-    std::vector<bool> req{false, false, false};
-    EXPECT_EQ(arb.arbitrate(req), std::nullopt);
-    EXPECT_EQ(arb.priority(), 0); // pointer does not move on no-grant
-}
-
-TEST(RouterUnit, ArbiterWidthMismatchPanics)
-{
-    RoundRobinArbiter arb(3);
-    std::vector<bool> req{true, true};
-    EXPECT_THROW(arb.arbitrate(req), std::runtime_error);
-}
-
 TEST(RouterUnit, PowerStateQueriesOnFreshRouter)
 {
     MultiNoc net(tiny_mesh());
@@ -223,6 +195,260 @@ TEST(RouterUnit, UTurnNeverHappens)
     EXPECT_TRUE(test::drain_until_quiescent(net, 30000));
     EXPECT_EQ(net.metrics().offered_packets(),
               net.metrics().ejected_packets());
+}
+
+// -- Allocation order, fed by hand ------------------------------------------
+//
+// Slots are numbered fifo_index(port, vc) = port * num_vcs + vc, with
+// ports Local 0, North 1, East 2, South 3, West 4 and 4 VCs per port, so
+// 20 slots. The expected grants below are worked out from the allocation
+// rules in DESIGN.md §5, not taken from a run:
+//   - VC allocation for output port o: iteration i (0 <= i < 20) visits
+//     slot (va_rr[o] + i) mod 20 and re-reads va_rr[o], which a grant at
+//     slot s sets to s + 1; at most 4 grants (one per downstream VC, the
+//     lowest free one first); the input port o itself never requests o.
+//   - Switch allocation: each input port nominates its first VC, in
+//     round-robin order from sa_input_rr, that holds a downstream VC with
+//     a credit; a switched flit moves that port's pointer past its VC.
+
+/** Absorbs what a router hands its node's NI over the local port. */
+class NullLocalPort : public LocalPortClient
+{
+  public:
+    CATNAP_PHASE_READ void return_local_credit(VcId, Cycle) override {}
+    CATNAP_PHASE_READ void eject_flit(const Flit &, Cycle) override {}
+};
+
+/**
+ * The centre router of a 3x3 mesh (node 4) with its neighbours wired.
+ * Flits are placed straight into the centre's input buffers; a cycle is
+ * its evaluate() then commit(). Neighbours only absorb what it sends.
+ */
+class HandFedRouter : public ::testing::Test
+{
+  protected:
+    static constexpr NodeId kCentre = 4;
+
+    HandFedRouter()
+        : mesh_(3, 3, 1, 1)
+    {
+        for (NodeId n = 0; n < mesh_.num_nodes(); ++n)
+            routers_.push_back(
+                std::make_unique<Router>(n, 0, params_, mesh_));
+        for (NodeId n = 0; n < mesh_.num_nodes(); ++n) {
+            for (int p = 1; p < kNumPorts; ++p) {
+                const Direction d = direction_from_index(p);
+                const NodeId nb = mesh_.neighbor(n, d);
+                routers_[static_cast<std::size_t>(n)]->connect(
+                    d, nb == kInvalidNode
+                           ? nullptr
+                           : routers_[static_cast<std::size_t>(nb)].get());
+            }
+        }
+        centre().set_local_client(&local_);
+    }
+
+    Router &centre() { return *routers_[kCentre]; }
+
+    /** Places the head of packet @p pkt, @p flits flits long, in VC
+     * @p vc of input port @p in, routed out through @p out. Like every
+     * arrival it is buffered by the next commit. */
+    void
+    place(Direction in, VcId vc, Direction out, PacketId pkt, int flits,
+          int seq = 0)
+    {
+        Flit f;
+        f.pkt = pkt;
+        f.src = kCentre;
+        f.dst = out == Direction::kLocal ? kCentre
+                                         : mesh_.neighbor(kCentre, out);
+        f.seq = static_cast<std::int16_t>(seq);
+        f.pkt_flits = static_cast<std::int16_t>(flits);
+        f.out_dir = out;
+        f.vc = vc;
+        if (seq == 0)
+            centre().note_expected_packet();
+        centre().deliver_flit(f, in, now_);
+    }
+
+    /** Adds @p delta to the credits of every VC of output port @p out. */
+    void
+    shift_credits(Direction out, int delta)
+    {
+        for (VcId vc = 0; vc < params_.num_vcs; ++vc)
+            centre().corrupt_output_credit_for_test(out, vc, delta);
+    }
+
+    void
+    cycle()
+    {
+        centre().evaluate(now_);
+        centre().commit(now_);
+        ++now_;
+    }
+
+    /** Which of the listed (port, vc) input VCs hold a downstream VC. */
+    std::string
+    active(const std::vector<std::pair<Direction, VcId>> &vcs)
+    {
+        std::string out;
+        for (const auto &[p, vc] : vcs)
+            out += centre().vc_active(p, vc) ? '1' : '0';
+        return out;
+    }
+
+    SubnetParams params_;
+    ConcentratedMesh mesh_;
+    std::vector<std::unique_ptr<Router>> routers_;
+    NullLocalPort local_;
+    Cycle now_ = 0;
+};
+
+TEST_F(HandFedRouter, VcAllocationSkipsAheadAfterEachGrant)
+{
+    const Direction L = Direction::kLocal;
+    const Direction N = Direction::kNorth;
+    const Direction E = Direction::kEast;
+    const Direction S = Direction::kSouth;
+    // Six heads want East: slots 0-3 (Local VCs 0-3), 4 (North VC0) and
+    // 12 (South VC0). Slot 0's packet is one flit; the others are two
+    // flits long, so a head that switches keeps its VC.
+    place(L, 0, E, 1, 1);
+    place(L, 1, E, 2, 2);
+    place(L, 2, E, 3, 2);
+    place(L, 3, E, 4, 2);
+    place(N, 0, E, 5, 2);
+    place(S, 0, E, 6, 2);
+    shift_credits(E, -params_.vc_depth_flits); // nothing may switch yet
+    cycle();                                   // buffer the heads
+    const std::vector<std::pair<Direction, VcId>> slots = {
+        {L, 0}, {L, 1}, {L, 2}, {L, 3}, {N, 0}, {S, 0}};
+
+    // va_rr[E] = 0. i=0: slot 0 granted (VC0), va_rr = 1. i=1: slot
+    // 1+1 = 2 granted (VC1), va_rr = 3. i=2..8: slots 5-11 request
+    // nothing (8-11 are East's own). i=9: slot 12 granted (VC2), va_rr =
+    // 13. i=10: slot (13+10) mod 20 = 3 granted (VC3), va_rr = 4: four
+    // grants end the scan. Slots 1 and 4 were skipped over.
+    cycle();
+    EXPECT_EQ(active(slots), "101101");
+
+    // Free VC0: its holder (slot 0, a one-flit packet) gets its credit
+    // back, switches, and releases VC0 with its tail. No VC is free
+    // during this cycle's VC allocation.
+    centre().corrupt_output_credit_for_test(E, 0, params_.vc_depth_flits);
+    cycle();
+    EXPECT_EQ(centre().vc_occupancy(L, 0), 0);
+    EXPECT_EQ(active(slots), "001101");
+
+    // va_rr[E] = 4, so slot 4 (North VC0) comes before slot 1 and takes
+    // the free VC0. It switches, but its tail is still upstream.
+    cycle();
+    EXPECT_EQ(active(slots), "001111");
+    EXPECT_EQ(centre().vc_occupancy(N, 0), 0);
+    EXPECT_EQ(centre().vc_occupancy(L, 1), 1);
+}
+
+TEST_F(HandFedRouter, SwitchAllocationRotatesOverOnePortsVcs)
+{
+    const Direction N = Direction::kNorth;
+    const Direction S = Direction::kSouth;
+    // North VCs 0-3 (slots 4-7) each hold a whole two-flit packet for
+    // South. South's credits are withheld until every VC is allocated.
+    for (VcId vc = 0; vc < 4; ++vc) {
+        place(N, vc, S, static_cast<PacketId>(vc + 1), 2, 0);
+        place(N, vc, S, static_cast<PacketId>(vc + 1), 2, 1);
+    }
+    shift_credits(S, -params_.vc_depth_flits);
+    cycle();
+    const std::vector<std::pair<Direction, VcId>> vcs = {
+        {N, 0}, {N, 1}, {N, 2}, {N, 3}};
+
+    // va_rr[S] = 0: i=4 grants slot 4 (downstream VC0), va_rr = 5; the
+    // next visit is slot 5+5 = 10 and the scan runs out of iterations
+    // before it wraps to slots 5-7.
+    cycle();
+    EXPECT_EQ(active(vcs), "1000");
+    // va_rr[S] = 5: slot 5 (VC1), then 6+1 = 7 (VC2), then after
+    // wrapping at i=18, slot 6 (VC3).
+    cycle();
+    EXPECT_EQ(active(vcs), "1111");
+
+    // Return every credit but downstream VC1's, which North VC1 holds.
+    // North nominates one VC a cycle, rotating from sa_input_rr = 0 and
+    // skipping VC1: 0, 2, 3, 0, 2, 3. Tails release their VCs.
+    shift_credits(S, params_.vc_depth_flits);
+    centre().corrupt_output_credit_for_test(S, 1, -params_.vc_depth_flits);
+    const std::vector<std::string> occupancy = {
+        "1222", "1212", "1211", "0211", "0201", "0200", "0200"};
+    for (const std::string &want : occupancy) {
+        cycle();
+        std::string got;
+        for (VcId vc = 0; vc < 4; ++vc)
+            got += static_cast<char>('0' + centre().vc_occupancy(N, vc));
+        EXPECT_EQ(got, want) << "cycle " << now_;
+    }
+    EXPECT_EQ(active(vcs), "0100");
+
+    // With VC1's credits back, it switches both flits.
+    centre().corrupt_output_credit_for_test(S, 1, params_.vc_depth_flits);
+    cycle();
+    cycle();
+    EXPECT_EQ(centre().vc_occupancy(N, 1), 0);
+    EXPECT_EQ(active(vcs), "0000");
+}
+
+TEST_F(HandFedRouter, UTurnRequestIsNeverGranted)
+{
+    const Direction E = Direction::kEast;
+    const Direction W = Direction::kWest;
+    // A head that entered from East asks to leave through East; a head
+    // from West asks for the same port as a control.
+    place(E, 0, E, 1, 2);
+    place(W, 0, E, 2, 2);
+    cycle();
+    for (int c = 0; c < 30; ++c)
+        cycle();
+    EXPECT_FALSE(centre().vc_active(E, 0));
+    EXPECT_EQ(centre().vc_occupancy(E, 0), 1);
+    EXPECT_TRUE(centre().vc_active(W, 0));
+}
+
+TEST(RouterUnit, MoreVcsThanTheRequestMaskHoldsAreRejected)
+{
+    MultiNocConfig cfg = tiny_mesh();
+    cfg.num_vcs = Router::kMaxVcs + 1;
+    ASSERT_EQ(cfg.num_vcs, 13);
+    try {
+        MultiNoc net(cfg);
+        FAIL() << "13 VCs per port accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("num_vcs must be in [1, 12]"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(RouterUnit, RequestMaskEdgesOneAndTwelveVcs)
+{
+    // One VC per port (the model checker's world) and the widest mask
+    // (60 of 64 bits) both deliver every packet.
+    for (int vcs : {1, Router::kMaxVcs}) {
+        MultiNocConfig cfg = tiny_mesh(2);
+        cfg.num_vcs = vcs;
+        MultiNoc net(cfg);
+        SyntheticConfig traffic;
+        traffic.load = 0.3;
+        SyntheticTraffic gen(&net, traffic, 11);
+        for (Cycle c = 0; c < 1500; ++c) {
+            gen.step(net.now());
+            net.tick();
+        }
+        EXPECT_TRUE(test::drain_until_quiescent(net, 30000)) << vcs;
+        EXPECT_GT(net.metrics().offered_packets(), 1000u) << vcs;
+        EXPECT_EQ(net.metrics().offered_packets(),
+                  net.metrics().ejected_packets())
+            << vcs;
+    }
 }
 
 TEST(RouterUnit, MinimalOneByOneMeshWorks)
