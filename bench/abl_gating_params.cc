@@ -36,7 +36,7 @@ main(int argc, char **argv)
         cfg.t_breakeven = t_be;
         items.push_back(RunItem{cfg, traffic, rp});
     }
-    const auto res = run_batch(items, bench::exec_options(opts));
+    const auto res = cli::run_items(items, opts);
 
     bench::header("Ablation A: wake-up delay T_wakeup (4NT-128b-PG)");
     std::printf("%-10s %12s %12s %10s\n", "T_wakeup", "latency",

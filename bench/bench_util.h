@@ -2,18 +2,15 @@
  * @file
  * Shared helpers for the figure/table reproduction harnesses: aligned
  * table printing, the standard phase lengths used across benches, and
- * the common command line (--jobs/--csv) plus parallel-sweep plumbing
- * over the src/exec/ execution engine.
+ * the common command line plus sweep plumbing.
  *
- * Every harness accepts the same options:
- *   --jobs N    worker threads for independent simulation points
- *               (default: one per hardware thread; 1 = serial)
- *   --csv FILE  additionally save the harness's main sweep as CSV
+ * Every harness accepts the same options: the batch flags of
+ * tools/common/batch_cli.h (--jobs, --isolate, --serve, ...) and
+ * --csv FILE, which additionally saves the harness's main sweep as CSV.
  *
- * Results are bit-identical for every --jobs value: the grid helpers
- * fan run_synthetic()/run_app_workload() points out through
- * SweepRunner, which delivers result i into slot i regardless of which
- * worker computed it (see exec/sweep_runner.h and DESIGN.md §12). The
+ * Results are bit-identical for every --jobs value and backend: every
+ * backend delivers result i into slot i regardless of which worker
+ * computed it (see exec/sweep_runner.h and DESIGN.md §12). The
  * guarantee covers stdout (tables, CSV). Diagnostic log lines (stderr,
  * e.g. drain-budget warnings) are emitted by whichever worker hits
  * them, so their *order* follows host scheduling — the set of warnings
@@ -29,11 +26,10 @@
 #include <utility>
 #include <vector>
 
-#include "exec/proc_runner.h"
 #include "exec/sweep_runner.h"
-#include "serve/client.h"
 #include "sim/report.h"
 #include "sim/simulator.h"
+#include "tools/common/batch_cli.h"
 
 namespace catnap::bench {
 
@@ -41,8 +37,8 @@ namespace catnap::bench {
  * Warm-up length shared by every synthetic sweep harness. One constant,
  * not per-harness literals: the value flows into RunParams::warmup and
  * from there into the run-level checkpoint config hash (DESIGN.md §13),
- * so a warm state saved or forked under one warm-up length can never be
- * reused under another.
+ * so a warm state saved under one warm-up length can never be restored
+ * under another.
  */
 inline constexpr Cycle kSweepWarmup = 1500;
 
@@ -79,73 +75,13 @@ paper_note(const std::string &what, double measured, double paper)
                 what.c_str(), measured, paper);
 }
 
-/** The command-line options every harness shares. */
-struct BenchOptions
+/** The command-line options every harness shares: the batch flags of
+ * tools/common/batch_cli.h plus --csv. */
+struct BenchOptions : cli::BatchFlags
 {
-    /** Worker threads for independent points; 0 = all cores. */
-    int jobs = 0;
     /** When non-empty, the harness saves its main sweep here. */
     std::string csv;
-    /**
-     * Warm up once per configuration (at the grid's first load) and
-     * fork the warm state for every sweep point instead of re-warming
-     * each point from cycle 0 (DESIGN.md §13). Points then measure
-     * their own load on a checkpoint-forked copy; output equals a
-     * from-scratch run that warmed at the same base load bit-for-bit.
-     */
-    bool fork_warmup = false;
-
-    /**
-     * Crash-isolated backend (DESIGN.md §15): run every grid point in
-     * a supervised catnap_sim worker subprocess instead of in-process
-     * threads. Output is bit-identical either way; --isolate adds
-     * crash containment, per-point retry/quarantine, and (with
-     * --journal) kill-and-resume. Incompatible with --fork-warmup
-     * (a warm SyntheticRun cannot cross a process boundary).
-     */
-    bool isolate = false;
-
-    /** Worker executable for --isolate; empty = <bench dir>/../tools/
-     * catnap_sim (the build-tree layout). */
-    std::string worker;
-
-    /** Spec/result exchange directory for --isolate. */
-    std::string scratch = ".catnap-scratch";
-
-    /** Journal path for --isolate (empty = no journal). */
-    std::string journal;
-
-    /** Replay the journal's intact records, run only missing points. */
-    bool resume = false;
-
-    /** Per-attempt wall budget in ms for --isolate (0 = unlimited). */
-    std::int64_t point_timeout_ms = 0;
-
-    /** Extra attempts before quarantine for --isolate. */
-    int point_retries = 2;
-
-    /**
-     * Sweep-service backend (DESIGN.md §17): resolve every grid point
-     * against the catnap_serve daemon at this socket instead of
-     * executing locally. Cached points replay from the daemon's
-     * content-addressed result cache bit-identically; only novel
-     * points execute (daemon-side). Incompatible with --fork-warmup
-     * and --isolate — the daemon owns execution and persistence.
-     */
-    std::string serve;
 };
-
-/** Build-tree default worker: catnap_sim relative to the bench binary
- * (bench/ and tools/ are sibling output directories). */
-inline std::string
-default_worker_path(const char *argv0)
-{
-    const std::string self(argv0);
-    const std::size_t slash = self.rfind('/');
-    const std::string dir =
-        slash == std::string::npos ? "." : self.substr(0, slash);
-    return dir + "/../tools/catnap_sim";
-}
 
 /**
  * Parses the shared harness command line. Unknown options are a hard
@@ -156,90 +92,22 @@ parse_options(int argc, char **argv)
 {
     BenchOptions opts;
     for (int i = 1; i < argc; ++i) {
+        if (opts.parse(argc, argv, i))
+            continue;
         const std::string a = argv[i];
-        const bool has_value = i + 1 < argc;
-        if (a == "--jobs" && has_value) {
-            opts.jobs = std::atoi(argv[++i]);
-        } else if (a == "--csv" && has_value) {
-            opts.csv = argv[++i];
-        } else if (a == "--fork-warmup") {
-            opts.fork_warmup = true;
-        } else if (a == "--isolate") {
-            opts.isolate = true;
-        } else if (a == "--worker" && has_value) {
-            opts.worker = argv[++i];
-        } else if (a == "--scratch" && has_value) {
-            opts.scratch = argv[++i];
-        } else if (a == "--journal" && has_value) {
-            opts.journal = argv[++i];
-        } else if (a == "--resume") {
-            opts.resume = true;
-        } else if (a == "--point-timeout" && has_value) {
-            opts.point_timeout_ms = std::atoll(argv[++i]);
-        } else if (a == "--point-retries" && has_value) {
-            opts.point_retries = std::atoi(argv[++i]);
-        } else if (a == "--serve" && has_value) {
-            opts.serve = argv[++i];
+        if (a == "--csv") {
+            opts.csv = cli::need_value(argc, argv, i);
         } else if (a == "--help" || a == "-h") {
-            std::printf("usage: %s [--jobs N] [--csv FILE] "
-                        "[--fork-warmup]\n"
-                        "          [--isolate [--worker PATH] [--scratch "
-                        "DIR] [--journal FILE]\n"
-                        "           [--resume] [--point-timeout MS] "
-                        "[--point-retries N]]\n"
-                        "  --jobs N   worker threads for independent "
-                        "simulation points\n"
-                        "             (default: one per hardware thread; "
-                        "1 = serial)\n"
-                        "  --csv FILE save the main sweep as CSV\n"
-                        "  --fork-warmup\n"
-                        "             warm up once per configuration and "
-                        "fork the warm\n"
-                        "             state for every load point "
-                        "(checkpoint forking)\n"
-                        "  --isolate  run every point in a supervised "
-                        "catnap_sim worker\n"
-                        "             subprocess (crash containment, "
-                        "quarantine, and with\n"
-                        "             --journal/--resume kill-and-resume; "
-                        "DESIGN.md §15)\n"
-                        "  --serve SOCKET\n"
-                        "             resolve every point against the "
-                        "catnap_serve daemon\n"
-                        "             at SOCKET: cached points replay "
-                        "bit-identically from\n"
-                        "             its result cache, only novel points "
-                        "execute\n"
-                        "             (DESIGN.md §17)\n",
-                        argv[0]);
+            std::printf("usage: %s [options]\n"
+                        "  --csv FILE                save the main sweep "
+                        "as CSV\n%s",
+                        argv[0], cli::kBatchFlagsHelp);
             std::exit(0);
         } else {
-            std::fprintf(stderr, "%s: unknown option '%s' (try --help)\n",
-                         argv[0], a.c_str());
-            std::exit(2);
+            cli::usage_error("unknown option '" + a + "'");
         }
     }
-    if (opts.isolate && opts.fork_warmup) {
-        std::fprintf(stderr, "%s: --isolate and --fork-warmup are "
-                             "mutually exclusive (a warm in-process run "
-                             "cannot cross the worker boundary)\n",
-                     argv[0]);
-        std::exit(2);
-    }
-    if (!opts.serve.empty() && (opts.isolate || opts.fork_warmup)) {
-        std::fprintf(stderr, "%s: --serve is mutually exclusive with "
-                             "--isolate and --fork-warmup (the daemon "
-                             "owns execution and persistence)\n",
-                     argv[0]);
-        std::exit(2);
-    }
-    if (opts.resume && opts.journal.empty()) {
-        std::fprintf(stderr, "%s: --resume requires --journal FILE\n",
-                     argv[0]);
-        std::exit(2);
-    }
-    if (opts.isolate && opts.worker.empty())
-        opts.worker = default_worker_path(argv[0]);
+    opts.finish(argv[0]);
     return opts;
 }
 
@@ -265,43 +133,9 @@ point(const MultiNocConfig &cfg, SyntheticConfig traffic,
 }
 
 /**
- * The --fork-warmup grid: one warm-up per configuration at the grid's
- * first load, then one checkpoint fork per point, each measuring its
- * own load. Forks are fanned out over the execution engine (fork() only
- * reads the warm run, so concurrent forks are safe); results land in
- * point order. Identity contract: grid[c][l] equals a from-scratch run
- * that warmed at loads[0] and measured at loads[l], bit-for-bit — see
- * tests/test_ckpt.cc.
- */
-inline std::vector<std::vector<SyntheticResult>>
-run_load_grid_forked(const std::vector<MultiNocConfig> &configs,
-                     const std::vector<double> &loads,
-                     const SyntheticConfig &traffic, const RunParams &rp,
-                     const BenchOptions &opts)
-{
-    SweepRunner runner(exec_options(opts));
-    std::vector<std::vector<SyntheticResult>> grid(configs.size());
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        SyntheticConfig base = traffic;
-        base.load = loads.front();
-        SyntheticRun warm(configs[c], base, rp);
-        warm.run_warmup();
-        grid[c] = runner.map<SyntheticResult>(
-            loads.size(), [&warm, &loads](std::size_t l) {
-                auto forked = warm.fork();
-                forked->set_load(loads[l]);
-                return forked->finish();
-            });
-    }
-    return grid;
-}
-
-/**
- * Runs the full |configs| x |loads| cross product in parallel and
- * returns it config-major (grid[c][l]), bit-identical to the nested
- * serial loops this replaces. With --fork-warmup, each configuration
- * warms up once and every point measures on a checkpoint fork of the
- * warm state (see run_load_grid_forked()).
+ * Runs the full |configs| x |loads| cross product on the backend the
+ * batch flags select and returns it config-major (grid[c][l]),
+ * bit-identical to the nested serial loops this replaces.
  */
 inline std::vector<std::vector<SyntheticResult>>
 run_load_grid(const std::vector<MultiNocConfig> &configs,
@@ -309,77 +143,12 @@ run_load_grid(const std::vector<MultiNocConfig> &configs,
               const SyntheticConfig &traffic, const RunParams &rp,
               const BenchOptions &opts)
 {
-    if (opts.fork_warmup)
-        return run_load_grid_forked(configs, loads, traffic, rp, opts);
-
     std::vector<RunItem> items;
     items.reserve(configs.size() * loads.size());
     for (const auto &cfg : configs)
         for (double load : loads)
             items.push_back(point(cfg, traffic, rp, load));
-
-    std::vector<SyntheticResult> flat;
-    if (!opts.serve.empty()) {
-        // Sweep-service backend (DESIGN.md §17): same items, same
-        // item-order results, bit-identical stdout — the daemon's cache
-        // replays the exact bytes a local run would produce, and the
-        // hit/miss summary goes to stderr so CSV/stdout diff clean
-        // against the serial run. Quarantine and an unreachable daemon
-        // are hard failures, mirroring the --isolate policy (exit 4)
-        // plus a distinct code for connection trouble (exit 5).
-        serve::ServeClientOptions copts;
-        copts.socket_path = opts.serve;
-        serve::ServedSweep sweep;
-        try {
-            sweep = serve::run_batch_served(items, copts);
-        } catch (const serve::ServeError &e) {
-            std::fprintf(stderr, "[serve] fatal: %s\n", e.what());
-            std::exit(5);
-        }
-        std::fprintf(stderr,
-                     "[serve] %zu hit(s), %zu executed, %zu quarantined\n",
-                     sweep.hits, sweep.misses, sweep.quarantined);
-        if (!sweep.ok()) {
-            std::fputs(sweep.quarantine_summary().c_str(), stderr);
-            std::exit(4);
-        }
-        flat = sweep.merged();
-    } else if (opts.isolate) {
-        // Crash-isolated backend: same items, same item-order results,
-        // bit-identical output; quarantine is a hard failure for a
-        // reproduction harness (a figure must never silently lose
-        // points), reported deterministically then exit 4.
-        ProcOptions po;
-        po.worker = opts.worker;
-        po.scratch_dir = opts.scratch;
-        po.journal = opts.journal;
-        po.resume = opts.resume;
-        po.jobs = opts.jobs;
-        po.max_retries = opts.point_retries;
-        po.timeout_ms = opts.point_timeout_ms;
-        ProcSweepResult sweep;
-        try {
-            ProcRunner runner(po);
-            sweep = runner.run(items);
-        } catch (const std::exception &e) {
-            // Supervisor faults (unusable scratch dir, spawn failure,
-            // corrupt journal path) — not per-point failures, which
-            // quarantine instead.
-            std::fprintf(stderr, "[isolate] fatal: %s\n", e.what());
-            std::exit(1);
-        }
-        std::fprintf(stderr,
-                     "[isolate] %zu worker(s) spawned, %zu point(s) "
-                     "from journal, %zu quarantined\n",
-                     sweep.spawned, sweep.from_journal, sweep.quarantined);
-        if (!sweep.ok()) {
-            std::fputs(sweep.quarantine_summary().c_str(), stderr);
-            std::exit(4);
-        }
-        flat = sweep.merged();
-    } else {
-        flat = run_batch(items, exec_options(opts));
-    }
+    const std::vector<SyntheticResult> flat = cli::run_items(items, opts);
 
     std::vector<std::vector<SyntheticResult>> grid(configs.size());
     for (std::size_t c = 0; c < configs.size(); ++c) {

@@ -66,7 +66,7 @@ main(int argc, char **argv)
         traffic.load = 0.10;
         items.push_back(RunItem{cfg, traffic, rp});
     }
-    const auto res = run_batch(items, bench::exec_options(opts));
+    const auto res = cli::run_items(items, opts);
 
     std::printf("%-6s | %8s %8s %8s %8s | %8s %8s %9s\n", "kills",
                 "lat", "p99", "power", "csc%", "retrans", "dropped",

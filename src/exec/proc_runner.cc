@@ -16,7 +16,6 @@
 
 #include "ckpt/checkpoint.h"
 #include "exec/point_codec.h"
-#include "exec/thread_pool.h"
 
 extern char **environ;
 
@@ -202,18 +201,14 @@ ProcRunner::run(const std::vector<RunItem> &items)
         pending.push_back(i);
     }
 
-    if (!pending.empty()) {
-        ThreadPool pool(opts_.jobs);
-        JobGraph graph;
-        for (const std::size_t idx : pending) {
-            graph.add([this, &items, &keys, &out, idx] {
-                out.points[idx] = run_point(idx, items[idx], keys[idx]);
-            });
-        }
-        // Jobs only throw on supervisor-side faults (spawn/scratch/
-        // journal I/O); worker failures become quarantine reports.
-        graph.run(pool).rethrow_if_error();
-    }
+    // Jobs only throw on supervisor-side faults (spawn/scratch/journal
+    // I/O); worker failures become quarantine reports.
+    ExecOptions eo;
+    eo.jobs = opts_.jobs;
+    SweepRunner(eo).run_jobs(pending.size(), [&](std::size_t p) {
+        const std::size_t idx = pending[p];
+        out.points[idx] = run_point(idx, items[idx], keys[idx]);
+    });
 
     for (std::size_t i = 0; i < n; ++i) {
         const std::size_t first = owner.at(keys[i]);
@@ -385,14 +380,6 @@ ProcRunner::run_point(std::size_t index, const RunItem &item,
     ev.a = rep.attempts;
     emit(ev);
     return rep;
-}
-
-std::vector<SyntheticResult>
-run_batch_isolated(const std::vector<RunItem> &items,
-                   const ProcOptions &opts)
-{
-    ProcRunner runner(opts);
-    return runner.run(items).merged();
 }
 
 } // namespace catnap

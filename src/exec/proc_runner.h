@@ -194,16 +194,6 @@ class ProcRunner
     std::int64_t epoch_us_ = 0; ///< sweep start, host microseconds
 };
 
-/**
- * Convenience wrapper: isolated analogue of run_batch(). Spawns
- * workers per @p opts, throws std::runtime_error with the quarantine
- * summary if any point failed permanently, and otherwise returns
- * results in item order, bit-identical to run_batch(items).
- */
-std::vector<SyntheticResult>
-run_batch_isolated(const std::vector<RunItem> &items,
-                   const ProcOptions &opts);
-
 } // namespace catnap
 
 #endif // CATNAP_EXEC_PROC_RUNNER_H

@@ -1,6 +1,7 @@
 #include "exec/sweep_runner.h"
 
 #include <chrono>
+#include <exception>
 #include <set>
 #include <stdexcept>
 
@@ -48,15 +49,13 @@ SweepRunner::run_jobs(std::size_t n,
         return;
     epoch_us_ = now_us();
 
-    ThreadPool pool(opts_.jobs);
-    JobGraph graph;
-    JobOptions job_opts;
-    job_opts.max_retries = opts_.max_retries;
-    job_opts.timeout_ms = opts_.timeout_ms;
-
-    for (std::size_t i = 0; i < n; ++i) {
-        graph.add(
-            [this, &body, i, n] {
+    // Slot i is written only by job i; the pool's destructor joins
+    // every worker before the slots are read.
+    std::vector<std::exception_ptr> errors(n);
+    {
+        ThreadPool pool(opts_.jobs);
+        for (std::size_t i = 0; i < n; ++i) {
+            pool.submit([this, &body, &errors, i, n] {
                 const std::int64_t begin_us = now_us() - epoch_us_;
                 TraceEvent ev;
                 ev.cycle = static_cast<Cycle>(begin_us);
@@ -66,28 +65,26 @@ SweepRunner::run_jobs(std::size_t n,
                 ev.b = static_cast<std::int32_t>(n);
                 emit(ev);
 
-                const auto emit_end = [&](std::int32_t status) {
-                    const std::int64_t end_us = now_us() - epoch_us_;
-                    ev.cycle = static_cast<Cycle>(end_us);
-                    ev.kind = EventKind::kExecJobEnd;
-                    ev.b = status;
-                    ev.pkt = static_cast<PacketId>(
-                        clamp_us(end_us - begin_us));
-                    emit(ev);
-                };
+                std::int32_t status = 0;
                 try {
                     body(i);
                 } catch (...) {
-                    emit_end(1);
-                    throw; // JobGraph owns retry/propagation policy
+                    errors[i] = std::current_exception();
+                    status = 1;
                 }
-                emit_end(0);
-            },
-            job_opts);
+                const std::int64_t end_us = now_us() - epoch_us_;
+                ev.cycle = static_cast<Cycle>(end_us);
+                ev.kind = EventKind::kExecJobEnd;
+                ev.b = status;
+                ev.pkt = static_cast<PacketId>(clamp_us(end_us - begin_us));
+                emit(ev);
+            });
+        }
     }
-
-    const RunReport report = graph.run(pool);
-    report.rethrow_if_error();
+    for (const std::exception_ptr &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
+    }
 }
 
 std::vector<SyntheticResult>
@@ -118,25 +115,6 @@ run_batch(const std::vector<RunItem> &items, const ExecOptions &opts)
         return run_synthetic(items[i].cfg, items[i].traffic,
                              items[i].params);
     });
-}
-
-std::vector<SyntheticResult>
-sweep_load_parallel(const MultiNocConfig &net_cfg, SyntheticConfig traffic,
-                    const RunParams &params,
-                    const std::vector<double> &loads,
-                    const ExecOptions &opts)
-{
-    std::vector<RunItem> items;
-    items.reserve(loads.size());
-    for (double load : loads) {
-        RunItem item;
-        item.cfg = net_cfg;
-        item.traffic = traffic;
-        item.traffic.load = load;
-        item.params = params;
-        items.push_back(std::move(item));
-    }
-    return run_batch(items, opts);
 }
 
 } // namespace catnap

@@ -25,10 +25,10 @@
 #define CATNAP_EXEC_SWEEP_RUNNER_H
 
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <vector>
 
-#include "exec/job.h"
 #include "exec/thread_pool.h"
 #include "obs/event.h"
 #include "sim/simulator.h"
@@ -40,12 +40,6 @@ struct ExecOptions
 {
     /** Worker threads; 0 = ThreadPool::default_jobs(). */
     int jobs = 0;
-
-    /** Extra attempts for a point whose run throws. */
-    int max_retries = 0;
-
-    /** Per-point wall-clock budget in milliseconds; 0 = unlimited. */
-    std::int64_t timeout_ms = 0;
 
     /**
      * Receives exec.* lifecycle events (host wall-clock timestamps,
@@ -67,9 +61,9 @@ struct RunItem
  * Executes a batch of closures indexed 0..n-1 on a private thread pool
  * and delivers fn(i) into slot i of the returned vector.
  *
- * The generic core under run_batch()/sweep_load_parallel(), usable for
- * any per-point result type (bench harnesses run app workloads and
- * custom metrics through it). Exceptions: every point is attempted
+ * The generic core under run_batch() and ProcRunner, usable for any
+ * per-point result type (bench harnesses run app workloads and custom
+ * metrics through it). Exceptions: every point is attempted
  * (independent points are not cancelled by a failure); after the batch
  * drains, the error of the *lowest-indexed* failing point is rethrown,
  * so failure is as deterministic as success.
@@ -115,16 +109,6 @@ class SweepRunner
  */
 std::vector<SyntheticResult> run_batch(const std::vector<RunItem> &items,
                                        const ExecOptions &opts = {});
-
-/**
- * Parallel drop-in for sweep_load() (sim/simulator.h): byte-identical
- * output, submission-order delivery, one worker per core by default.
- */
-std::vector<SyntheticResult>
-sweep_load_parallel(const MultiNocConfig &net_cfg, SyntheticConfig traffic,
-                    const RunParams &params,
-                    const std::vector<double> &loads,
-                    const ExecOptions &opts = {});
 
 } // namespace catnap
 

@@ -141,10 +141,10 @@ enum class EventKind : std::int8_t {
      */
     kServeRequest = 24,
 
-    /** Sweep service: one executor job (an adaptively coalesced batch
-     * of cache misses) finished. [node=first point index in the
-     * request, a=points in the batch, b=0 ok / 1 some point
-     * quarantined; `cycle` is host microseconds] */
+    /** Sweep service: one in-process executor job (one cache miss)
+     * finished. [node=point index in the request, a=points in the job
+     * (always 1), b=0 ok / 1 quarantined; `cycle` is host
+     * microseconds] */
     kServeExec = 25,
 
     /** Sweep service: a cache insert pushed the result cache past its

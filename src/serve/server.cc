@@ -171,8 +171,6 @@ ServeServer::ServeServer(const ServeConfig &cfg) : cfg_(cfg)
         throw std::invalid_argument("serve: socket path is required");
     if (cfg_.exec.isolate && cfg_.exec.worker.empty())
         throw std::invalid_argument("serve: isolate mode needs a worker");
-    if (cfg_.exec.batch_max == 0)
-        cfg_.exec.batch_max = 1;
 
     cache_ = std::make_unique<ResultCache>(cfg_.cache);
     stats_.restored_records = cache_->restored();
@@ -584,7 +582,7 @@ ServeServer::execute_misses(const std::vector<RunItem> &items,
 {
     // Whatever happens below, every claimed key must be released or the
     // single-flight table wedges other requests forever.
-    std::vector<bool> done(pending.size(), false);
+    std::vector<char> done(pending.size(), 0);
     try {
         if (cfg_.exec.isolate) {
             std::vector<RunItem> misses;
@@ -622,68 +620,44 @@ ServeServer::execute_misses(const std::vector<RunItem> &items,
                     finish_point(keys[slot], slot, true, w.bytes(), "",
                                  answers);
                 }
-                done[p] = true;
+                done[p] = 1;
             }
         } else {
-            // Adaptive batching: coalesce runs of cheap (low offered
-            // load) points into one executor job so wide low-load grids
-            // amortise dispatch overhead. Scheduling only — each point
-            // still simulates on private state, so result bytes and
-            // slot order are untouched.
-            std::vector<std::vector<std::size_t>> batches; // of p-index
-            std::size_t p = 0;
-            while (p < pending.size()) {
-                std::vector<std::size_t> batch{p};
-                const bool cheap = items[pending[p]].traffic.load <=
-                                   cfg_.exec.batch_load_max;
-                ++p;
-                while (cheap && batch.size() < cfg_.exec.batch_max &&
-                       p < pending.size() &&
-                       items[pending[p]].traffic.load <=
-                           cfg_.exec.batch_load_max) {
-                    batch.push_back(p);
-                    ++p;
-                }
-                batches.push_back(std::move(batch));
-            }
             {
                 std::lock_guard<std::mutex> lock(mu_);
                 stats_.executed += pending.size();
-                stats_.batches += batches.size();
+                stats_.batches += pending.size();
             }
 
             ExecOptions eopts;
             eopts.jobs = cfg_.exec.jobs;
             SweepRunner runner(eopts);
-            runner.run_jobs(batches.size(), [&](std::size_t bi) {
-                bool batch_ok = true;
-                for (const std::size_t pi : batches[bi]) {
-                    const std::size_t slot = pending[pi];
-                    try {
-                        const SyntheticResult res =
-                            run_synthetic(items[slot].cfg,
-                                          items[slot].traffic,
-                                          items[slot].params);
-                        ckpt::Writer w;
-                        put_synth_result(w, res);
-                        finish_point(keys[slot], slot, true, w.bytes(), "",
-                                     answers);
-                    } catch (const std::exception &e) {
-                        // The simulator is deterministic: an in-process
-                        // retry would fail identically, so the point
-                        // quarantines immediately.
-                        batch_ok = false;
-                        finish_point(keys[slot], slot, false, {},
-                                     std::string("point threw: ") + e.what(),
-                                     answers);
-                    }
-                    done[pi] = true;
+            runner.run_jobs(pending.size(), [&](std::size_t p) {
+                const std::size_t slot = pending[p];
+                bool ok = true;
+                try {
+                    const SyntheticResult res =
+                        run_synthetic(items[slot].cfg, items[slot].traffic,
+                                      items[slot].params);
+                    ckpt::Writer w;
+                    put_synth_result(w, res);
+                    finish_point(keys[slot], slot, true, w.bytes(), "",
+                                 answers);
+                } catch (const std::exception &e) {
+                    // The simulator is deterministic: an in-process
+                    // retry would fail identically, so the point
+                    // quarantines immediately.
+                    ok = false;
+                    finish_point(keys[slot], slot, false, {},
+                                 std::string("point threw: ") + e.what(),
+                                 answers);
                 }
+                done[p] = 1;
                 TraceEvent ev{};
                 ev.kind = EventKind::kServeExec;
-                ev.node = static_cast<NodeId>(pending[batches[bi].front()]);
-                ev.a = static_cast<std::int32_t>(batches[bi].size());
-                ev.b = batch_ok ? 0 : 1;
+                ev.node = static_cast<NodeId>(slot);
+                ev.a = 1;
+                ev.b = ok ? 0 : 1;
                 emit(ev);
             });
         }

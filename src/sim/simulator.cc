@@ -64,19 +64,6 @@ SyntheticRun::run_warmup()
     }
 }
 
-void
-SyntheticRun::set_load(double load)
-{
-    traffic_.load = load;
-    gen_->set_load(load);
-}
-
-void
-SyntheticRun::set_schedule(LoadSchedule schedule)
-{
-    gen_->set_schedule(std::move(schedule));
-}
-
 SyntheticResult
 SyntheticRun::finish()
 {
@@ -217,22 +204,6 @@ SyntheticRun::restore_checkpoint(const MultiNocConfig &net_cfg,
     run->deserialize_run(r);
     r.expect_exhausted();
     return run;
-}
-
-std::unique_ptr<SyntheticRun>
-SyntheticRun::fork() const
-{
-    ckpt::Writer w;
-    serialize_run(w);
-    RunParams forked_params = params_;
-    forked_params.sink = nullptr;
-    forked_params.snapshots = nullptr;
-    auto copy =
-        std::make_unique<SyntheticRun>(cfg_, traffic_, forked_params);
-    ckpt::Reader r(w.bytes());
-    copy->deserialize_run(r);
-    r.expect_exhausted();
-    return copy;
 }
 
 SyntheticResult

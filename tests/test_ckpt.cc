@@ -2,19 +2,15 @@
  * @file
  * Checkpoint subsystem tests (src/ckpt, DESIGN.md §13): container
  * validation (magic/version/hash/truncation/CRC), byte-identical
- * round-trips, fork independence, warm-up-fork == from-scratch
- * bit-identity (empty and non-empty fault plans), and mid-run
- * save/resume identity.
+ * round-trips, fork independence, and mid-run save/resume identity.
  */
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "app/system.h"
-#include "bench/bench_util.h"
 #include "ckpt/archive.h"
 #include "ckpt/checkpoint.h"
 #include "ckpt/journal.h"
@@ -385,9 +381,9 @@ TEST(CkptNet, ForkBehavesIdenticallyToOriginal)
     EXPECT_EQ(net_bytes(net), net_bytes(*fork));
 }
 
-// -- Warm-up forking == from-scratch (the pinned sweep contract) -----------
+// -- Mid-run save / resume -------------------------------------------------
 
-/** Short fig10-style phases so the pinned sweep stays fast. */
+/** Short fig10-style phases so the resume tests stay fast. */
 RunParams
 short_params()
 {
@@ -398,86 +394,6 @@ short_params()
     rp.seed = 4242;
     return rp;
 }
-
-/** The --fork-warmup grid of @p cfg over @p loads, through the real
- * bench helper. */
-std::vector<SyntheticResult>
-forked_sweep(const MultiNocConfig &cfg, const std::vector<double> &loads)
-{
-    bench::BenchOptions opts;
-    opts.fork_warmup = true;
-    opts.jobs = 2;
-    const auto grid =
-        bench::run_load_grid({cfg}, loads, SyntheticConfig{},
-                             short_params(), opts);
-    EXPECT_EQ(grid.size(), 1u);
-    return grid.empty() ? std::vector<SyntheticResult>{} : grid[0];
-}
-
-void
-expect_forked_sweep_identical(const MultiNocConfig &cfg)
-{
-    const std::vector<double> loads = {0.02, 0.10, 0.30};
-    const RunParams rp = short_params();
-    const auto forked = forked_sweep(cfg, loads);
-    ASSERT_EQ(forked.size(), loads.size());
-
-    // Reference: from-scratch runs of the point load whose generator is
-    // driven by a schedule that offers the grid's first load during
-    // warm-up and the point load from the warm-up boundary on. This
-    // path never calls set_load(), so it cannot share a set_load() bug
-    // with the forks.
-    for (std::size_t l = 0; l < loads.size(); ++l) {
-        SyntheticConfig point;
-        point.load = loads[l];
-        SyntheticRun ref(cfg, point, rp);
-        const double base = loads.front();
-        const double load = loads[l];
-        const Cycle warmup = rp.warmup;
-        ref.set_schedule([base, load, warmup](Cycle now) {
-            return now < warmup ? base : load;
-        });
-        ref.run_warmup();
-        expect_identical(forked[l], ref.finish());
-    }
-}
-
-TEST(CkptForkWarmup, ForkedPointsOfferTheirOwnLoad)
-{
-    // Oracle independent of every run: each node draws one Bernoulli
-    // trial per cycle, so a point's measured offered rate lies within
-    // 6 sigma of the load it asked for.
-    const MultiNocConfig cfg = test_config();
-    const std::vector<double> loads = {0.02, 0.10, 0.30};
-    const auto forked = forked_sweep(cfg, loads);
-    ASSERT_EQ(forked.size(), loads.size());
-    const double trials = static_cast<double>(short_params().measure) *
-                          MultiNoc(cfg).num_nodes();
-    for (std::size_t l = 0; l < loads.size(); ++l) {
-        const double sigma =
-            std::sqrt(loads[l] * (1.0 - loads[l]) / trials);
-        EXPECT_NEAR(forked[l].offered_rate, loads[l], 6.0 * sigma)
-            << "forked point " << l;
-    }
-}
-
-TEST(CkptForkWarmup, SweepMatchesFromScratchBitForBit)
-{
-    expect_forked_sweep_identical(test_config());
-}
-
-TEST(CkptForkWarmup, SweepMatchesFromScratchWithFaultPlan)
-{
-    MultiNocConfig cfg = test_config();
-    // Faults landing before AND during measurement; probabilistic
-    // streams active throughout.
-    cfg.fault.lose_wakes(200, 1, 10, 200).kill_router(500, 3, 40);
-    cfg.fault.rcs_glitch_prob = 0.002;
-    cfg.fault.wake_loss_prob = 0.01;
-    expect_forked_sweep_identical(cfg);
-}
-
-// -- Mid-run save / resume -------------------------------------------------
 
 TEST(CkptResume, WarmupCheckpointReproducesUninterruptedRun)
 {

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the execution engine (src/exec/): thread pool, job graph,
- * and the deterministic batch runner.
+ * Tests for the execution engine (src/exec/): thread pool, the
+ * deterministic batch runner, and the crash-isolated subprocess backend.
  *
  * The load-bearing guarantee is pinned by ExecSweep.*: the parallel
  * sweep must be *byte-identical* to the serial loop for any --jobs
@@ -22,7 +22,6 @@
 #include <signal.h>
 #include <sys/stat.h>
 
-#include "exec/job.h"
 #include "exec/proc_runner.h"
 #include "exec/sweep_runner.h"
 #include "exec/thread_pool.h"
@@ -49,6 +48,20 @@ to_csv(const std::vector<SyntheticResult> &rows)
     std::ostringstream os;
     write_csv(os, rows);
     return os.str();
+}
+
+/** One default-traffic item per load, as catnap_sim --loads builds. */
+std::vector<RunItem>
+load_items(const MultiNocConfig &cfg, const RunParams &rp,
+           const std::vector<double> &loads)
+{
+    std::vector<RunItem> items;
+    for (const double load : loads) {
+        SyntheticConfig traffic;
+        traffic.load = load;
+        items.push_back(RunItem{cfg, traffic, rp});
+    }
+    return items;
 }
 
 // ---------------------------------------------------------------------
@@ -84,141 +97,6 @@ TEST(ExecPool, WorkerIndexVisibleInsideTasksOnly)
     }
     EXPECT_TRUE(in_range.load());
     EXPECT_GE(ThreadPool::default_jobs(), 1);
-}
-
-// ---------------------------------------------------------------------
-// JobGraph
-// ---------------------------------------------------------------------
-
-TEST(ExecGraph, DependencyEdgesOrderExecution)
-{
-    ThreadPool pool(4);
-    JobGraph graph;
-    // A chain writes into a plain (non-atomic) vector: the graph's
-    // release path must provide the happens-before edge.
-    std::vector<int> order;
-    const JobId a = graph.add([&order] { order.push_back(1); });
-    const JobId b = graph.add([&order] { order.push_back(2); });
-    const JobId c = graph.add([&order] { order.push_back(3); });
-    graph.add_edge(a, b);
-    graph.add_edge(b, c);
-
-    const RunReport report = graph.run(pool);
-    ASSERT_TRUE(report.ok());
-    EXPECT_EQ(report.done, 3u);
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(ExecGraph, CycleIsRejectedBeforeRunning)
-{
-    ThreadPool pool(2);
-    JobGraph graph;
-    std::atomic<int> ran{0};
-    const JobId a = graph.add([&ran] { ++ran; });
-    const JobId b = graph.add([&ran] { ++ran; });
-    graph.add_edge(a, b);
-    graph.add_edge(b, a);
-    EXPECT_THROW(graph.run(pool), std::invalid_argument);
-    EXPECT_EQ(ran.load(), 0);
-}
-
-TEST(ExecGraph, BadEdgeIsRejected)
-{
-    JobGraph graph;
-    const JobId a = graph.add([] {});
-    EXPECT_THROW(graph.add_edge(a, a), std::invalid_argument);
-    EXPECT_THROW(graph.add_edge(a, 7), std::invalid_argument);
-}
-
-TEST(ExecGraph, FailureCancelsDependentsAndIsAccounted)
-{
-    ThreadPool pool(2);
-    JobGraph graph;
-    std::atomic<bool> dependent_ran{false};
-    const JobId bad =
-        graph.add([] { throw std::runtime_error("boom"); });
-    const JobId child =
-        graph.add([&dependent_ran] { dependent_ran = true; });
-    const JobId grandchild = graph.add([] {});
-    graph.add_edge(bad, child);
-    graph.add_edge(child, grandchild);
-
-    const RunReport report = graph.run(pool);
-    EXPECT_FALSE(report.ok());
-    EXPECT_EQ(report.failed, 1u);
-    EXPECT_EQ(report.cancelled, 2u);
-    EXPECT_FALSE(dependent_ran.load());
-    EXPECT_EQ(report.states[static_cast<std::size_t>(bad)],
-              JobState::kFailed);
-    EXPECT_EQ(report.states[static_cast<std::size_t>(child)],
-              JobState::kCancelled);
-    EXPECT_EQ(report.states[static_cast<std::size_t>(grandchild)],
-              JobState::kCancelled);
-    EXPECT_EQ(report.first_failed, bad);
-    EXPECT_THROW(report.rethrow_if_error(), std::runtime_error);
-}
-
-TEST(ExecGraph, RetryBudgetRecoversFlakyJob)
-{
-    ThreadPool pool(2);
-    JobGraph graph;
-    std::atomic<int> attempts{0};
-    JobOptions opts;
-    opts.max_retries = 2;
-    graph.add(
-        [&attempts] {
-            if (++attempts < 3)
-                throw std::runtime_error("transient");
-        },
-        opts);
-
-    const RunReport report = graph.run(pool);
-    EXPECT_TRUE(report.ok());
-    EXPECT_EQ(report.retries, 2u);
-    EXPECT_EQ(attempts.load(), 3);
-}
-
-TEST(ExecGraph, CancellationMidRunSkipsPendingJobs)
-{
-    // One worker serializes execution, so cancelling from job 0
-    // guarantees jobs 2..N-1 are still pending when cancel() lands.
-    ThreadPool pool(1);
-    JobGraph graph;
-    std::atomic<int> ran{0};
-    graph.add([&graph, &ran] {
-        ++ran;
-        graph.cancel();
-    });
-    for (int i = 0; i < 8; ++i)
-        graph.add([&ran] { ++ran; });
-
-    const RunReport report = graph.run(pool);
-    EXPECT_FALSE(report.ok());
-    // The canceller completed; everything not yet started was skipped.
-    EXPECT_EQ(report.done + report.cancelled, 9u);
-    EXPECT_GE(report.cancelled, 1u);
-    EXPECT_EQ(static_cast<std::size_t>(ran.load()), report.done);
-}
-
-TEST(ExecGraph, TimeoutIsDetectedAndDiscarded)
-{
-    ThreadPool pool(2);
-    JobGraph graph;
-    JobOptions opts;
-    opts.timeout_ms = 10;
-    const JobId slow = graph.add(
-        [] { std::this_thread::sleep_for(std::chrono::milliseconds(80)); },
-        opts);
-    const JobId child = graph.add([] {});
-    graph.add_edge(slow, child);
-
-    const RunReport report = graph.run(pool);
-    EXPECT_FALSE(report.ok());
-    EXPECT_EQ(report.states[static_cast<std::size_t>(slow)],
-              JobState::kTimedOut);
-    EXPECT_EQ(report.states[static_cast<std::size_t>(child)],
-              JobState::kCancelled);
-    EXPECT_THROW(report.rethrow_if_error(), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------
@@ -262,6 +140,30 @@ TEST(ExecRunner, FirstErrorBySubmissionIndexWins)
     }
 }
 
+TEST(ExecRunner, FirstErrorDeterministicUnderSimultaneousFailures)
+{
+    // Eight jobs die, the first four at the same instant (each waits
+    // until every worker holds a job), repeatedly: the rethrown error
+    // must always be job 0's, never whichever lost the race.
+    for (int iter = 0; iter < 10; ++iter) {
+        ExecOptions opts;
+        opts.jobs = 4;
+        SweepRunner runner(opts);
+        std::atomic<int> started{0};
+        try {
+            runner.run_jobs(8, [&started](std::size_t j) {
+                ++started;
+                while (started.load() < 4)
+                    std::this_thread::yield();
+                throw std::runtime_error("job " + std::to_string(j));
+            });
+            FAIL() << "expected an error";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "job 0");
+        }
+    }
+}
+
 TEST(ExecRunner, EmitsBeginAndEndEventsPerJob)
 {
     EventTrace trace(1024);
@@ -287,7 +189,7 @@ TEST(ExecRunner, EmitsBeginAndEndEventsPerJob)
 }
 
 // ---------------------------------------------------------------------
-// run_batch / sweep_load_parallel: the determinism pin
+// run_batch: the determinism pin
 // ---------------------------------------------------------------------
 
 TEST(ExecSweep, ParallelIsByteIdenticalToSerial)
@@ -303,8 +205,7 @@ TEST(ExecSweep, ParallelIsByteIdenticalToSerial)
 
     ExecOptions opts;
     opts.jobs = 4;
-    const auto parallel =
-        sweep_load_parallel(cfg, traffic, rp, loads, opts);
+    const auto parallel = run_batch(load_items(cfg, rp, loads), opts);
 
     EXPECT_EQ(to_csv(serial), to_csv(parallel));
 }
@@ -319,7 +220,7 @@ TEST(ExecSweep, SingleJobDegenerateCaseMatchesSerial)
     ExecOptions opts;
     opts.jobs = 1;
     EXPECT_EQ(to_csv(sweep_load(cfg, traffic, rp, loads)),
-              to_csv(sweep_load_parallel(cfg, traffic, rp, loads, opts)));
+              to_csv(run_batch(load_items(cfg, rp, loads), opts)));
 }
 
 TEST(ExecSweep, RunBatchMixedConfigsMatchesSerialRuns)
@@ -393,111 +294,6 @@ TEST(ExecSweep, ExceptionMidSweepPropagatesAfterBatchDrains)
                         }),
         std::runtime_error);
     EXPECT_EQ(completed.load(), 3);
-}
-
-// ---------------------------------------------------------------------
-// JobGraph retry/timeout interaction edges
-// ---------------------------------------------------------------------
-
-TEST(ExecGraph, TimeoutAppliesToRetryAttempts)
-{
-    // A job whose *retry* hangs must still be caught by the watchdog:
-    // the timeout budget is not consumed by the failed first attempt.
-    ThreadPool pool(1);
-    JobGraph graph;
-    JobOptions jo;
-    jo.max_retries = 1;
-    jo.timeout_ms = 40;
-    std::atomic<int> attempts{0};
-    graph.add(
-        [&attempts] {
-            if (++attempts == 1)
-                throw std::runtime_error("first attempt dies fast");
-            std::this_thread::sleep_for(std::chrono::milliseconds(250));
-        },
-        jo);
-
-    const RunReport report = graph.run(pool);
-    EXPECT_EQ(attempts.load(), 2);
-    EXPECT_EQ(report.failed, 1u);
-    EXPECT_EQ(report.states[0], JobState::kTimedOut);
-    EXPECT_GE(report.retries, 1u);
-    EXPECT_THROW(report.rethrow_if_error(), std::runtime_error);
-}
-
-TEST(ExecGraph, RetryBudgetExhaustionCancelsDependents)
-{
-    // Exhausting the retry budget is a real failure: dependents are
-    // cancelled (never run on garbage), and the report says why.
-    ThreadPool pool(2);
-    JobGraph graph;
-    JobOptions jo;
-    jo.max_retries = 2;
-    std::atomic<int> attempts{0};
-    std::atomic<bool> dependent_ran{false};
-    const JobId a = graph.add(
-        [&attempts] {
-            ++attempts;
-            throw std::runtime_error("always fails");
-        },
-        jo);
-    const JobId b = graph.add([&dependent_ran] { dependent_ran = true; });
-    graph.add_edge(a, b);
-
-    const RunReport report = graph.run(pool);
-    EXPECT_EQ(attempts.load(), 3); // 1 initial + 2 retries
-    EXPECT_EQ(report.retries, 2u);
-    EXPECT_EQ(report.states[a], JobState::kFailed);
-    EXPECT_EQ(report.states[b], JobState::kCancelled);
-    EXPECT_FALSE(dependent_ran.load());
-    EXPECT_EQ(report.first_failed, a);
-}
-
-TEST(ExecGraph, CancellationDropsRemainingRetryBudget)
-{
-    // cancel() arriving while a job still has retry budget must stop
-    // the retry loop: a cancelled graph never requeues work.
-    ThreadPool pool(1);
-    JobGraph graph;
-    JobOptions jo;
-    jo.max_retries = 5;
-    std::atomic<int> attempts{0};
-    graph.add(
-        [&attempts, &graph] {
-            ++attempts;
-            graph.cancel();
-            throw std::runtime_error("dies after cancelling");
-        },
-        jo);
-
-    const RunReport report = graph.run(pool);
-    EXPECT_EQ(attempts.load(), 1);
-    EXPECT_EQ(report.retries, 0u);
-    EXPECT_EQ(report.states[0], JobState::kFailed);
-}
-
-TEST(ExecGraph, FirstErrorDeterministicUnderSimultaneousFailures)
-{
-    // Eight jobs all die at once, repeatedly: the reported error must
-    // always be the lowest JobId's, never whichever lost the race.
-    for (int iter = 0; iter < 10; ++iter) {
-        ThreadPool pool(4);
-        JobGraph graph;
-        for (int j = 0; j < 8; ++j) {
-            graph.add([j] {
-                throw std::runtime_error("job " + std::to_string(j));
-            });
-        }
-        const RunReport report = graph.run(pool);
-        EXPECT_EQ(report.failed, 8u);
-        ASSERT_EQ(report.first_failed, 0);
-        try {
-            report.rethrow_if_error();
-            FAIL() << "expected an error";
-        } catch (const std::runtime_error &e) {
-            EXPECT_STREQ(e.what(), "job 0");
-        }
-    }
 }
 
 // ---------------------------------------------------------------------

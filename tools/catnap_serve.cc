@@ -21,31 +21,23 @@
  * torn tail, and the stats file is rewritten after every request.
  */
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 
-#include <unistd.h>
-
+#include "common/batch_cli.h"
 #include "obs/export.h"
 #include "obs/trace_buffer.h"
 #include "serve/server.h"
 
 using namespace catnap;
+using namespace catnap::cli;
 
 namespace {
-
-// Exit codes mirror catnap_sim's first three rows.
-constexpr int kExitRuntime = 1;  ///< bind/cache/daemon error
-constexpr int kExitUsage = 2;    ///< unknown option or malformed CLI
-constexpr int kExitBadValue = 3; ///< syntactically valid flag, bad value
 
 /** Signal flag: SIGINT/SIGTERM ask the main loop to exit. */
 std::atomic<int> g_stop{0};
@@ -71,11 +63,6 @@ usage(int code)
         "                            (0 = unbounded)\n"
         "  --jobs N                  worker threads for cache misses\n"
         "                            (default: one per hardware thread)\n"
-        "  --batch-max N             coalesce up to N cheap points into\n"
-        "                            one executor job (default 4;\n"
-        "                            1 disables batching)\n"
-        "  --batch-load-max X        offered-load ceiling for a point to\n"
-        "                            count as cheap (default 0.15)\n"
         "  --isolate                 execute misses in supervised\n"
         "                            catnap_sim worker subprocesses\n"
         "                            (crash containment, retry/backoff,\n"
@@ -102,93 +89,6 @@ usage(int code)
     std::exit(code);
 }
 
-const char *
-need_value(int argc, char **argv, int &i)
-{
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", argv[i]);
-        usage(kExitUsage);
-    }
-    return argv[++i];
-}
-
-[[noreturn]] void
-die_value(const char *flag, const std::string &value, const std::string &why)
-{
-    std::fprintf(stderr, "catnap_serve: invalid value '%s' for %s: %s\n",
-                 value.c_str(), flag, why.c_str());
-    std::exit(kExitBadValue);
-}
-
-/** Strict integer parse, same contract as catnap_sim's. */
-long long
-parse_int(const char *flag, const std::string &value, long long lo,
-          long long hi)
-{
-    char *end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(value.c_str(), &end, 10);
-    if (value.empty() || *end != '\0' || end == value.c_str())
-        die_value(flag, value, "not an integer");
-    if (errno == ERANGE || v < lo || v > hi) {
-        die_value(flag, value, "must be in [" + std::to_string(lo) + ", " +
-                                   std::to_string(hi) + "]");
-    }
-    return v;
-}
-
-unsigned long long
-parse_uint(const char *flag, const std::string &value,
-           unsigned long long hi = ~0ull)
-{
-    if (!value.empty() && value[0] == '-')
-        die_value(flag, value, "must be non-negative");
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    if (value.empty() || *end != '\0' || end == value.c_str())
-        die_value(flag, value, "not an integer");
-    if (errno == ERANGE || v > hi)
-        die_value(flag, value, "must be at most " + std::to_string(hi));
-    return v;
-}
-
-double
-parse_real(const char *flag, const std::string &value, double lo, double hi)
-{
-    char *end = nullptr;
-    errno = 0;
-    const double v = std::strtod(value.c_str(), &end);
-    if (value.empty() || *end != '\0' || end == value.c_str())
-        die_value(flag, value, "not a number");
-    if (!std::isfinite(v))
-        die_value(flag, value, "must be finite (NaN/inf rejected)");
-    char range[96];
-    std::snprintf(range, sizeof range, "must be in [%g, %g]", lo, hi);
-    if (errno == ERANGE || v < lo || v > hi)
-        die_value(flag, value, range);
-    return v;
-}
-
-/** Default --isolate worker: catnap_sim next to this binary. */
-std::string
-default_worker_path(const char *argv0)
-{
-    char buf[4096];
-    const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-    std::string self;
-    if (n > 0) {
-        buf[n] = '\0';
-        self = buf;
-    } else {
-        self = argv0;
-    }
-    const std::size_t slash = self.rfind('/');
-    const std::string dir =
-        slash == std::string::npos ? "." : self.substr(0, slash);
-    return dir + "/catnap_sim";
-}
-
 } // namespace
 
 int
@@ -198,7 +98,11 @@ main(int argc, char **argv)
     std::string trace_out;
     std::size_t trace_capacity = EventTrace::kDefaultCapacity;
 
+    BatchFlags exec;
+    exec.scratch = cfg.exec.scratch;
     for (int i = 1; i < argc; ++i) {
+        if (exec.parse(argc, argv, i))
+            continue;
         const std::string a = argv[i];
         if (a == "--help" || a == "-h") usage(0);
         else if (a == "--socket")
@@ -208,27 +112,6 @@ main(int argc, char **argv)
         else if (a == "--cache-max-bytes")
             cfg.cache.max_bytes =
                 parse_uint(a.c_str(), need_value(argc, argv, i));
-        else if (a == "--jobs")
-            cfg.exec.jobs = static_cast<int>(
-                parse_int(a.c_str(), need_value(argc, argv, i), 0, 4096));
-        else if (a == "--batch-max")
-            cfg.exec.batch_max = static_cast<std::size_t>(
-                parse_int(a.c_str(), need_value(argc, argv, i), 1, 4096));
-        else if (a == "--batch-load-max")
-            cfg.exec.batch_load_max =
-                parse_real(a.c_str(), need_value(argc, argv, i), 0.0, 8.0);
-        else if (a == "--isolate")
-            cfg.exec.isolate = true;
-        else if (a == "--worker")
-            cfg.exec.worker = need_value(argc, argv, i);
-        else if (a == "--scratch")
-            cfg.exec.scratch = need_value(argc, argv, i);
-        else if (a == "--point-timeout")
-            cfg.exec.timeout_ms = static_cast<std::int64_t>(parse_uint(
-                a.c_str(), need_value(argc, argv, i), 86400000ull));
-        else if (a == "--point-retries")
-            cfg.exec.max_retries = static_cast<int>(
-                parse_int(a.c_str(), need_value(argc, argv, i), 0, 100));
         else if (a == "--stats-out")
             cfg.stats_path = need_value(argc, argv, i);
         else if (a == "--trace-out")
@@ -236,17 +119,22 @@ main(int argc, char **argv)
         else if (a == "--trace-events")
             trace_capacity = static_cast<std::size_t>(parse_int(
                 a.c_str(), need_value(argc, argv, i), 1, 1ll << 32));
-        else {
-            std::fprintf(stderr, "unknown option: %s\n", a.c_str());
-            usage(kExitUsage);
-        }
+        else
+            usage_error("unknown option: " + a);
     }
-    if (cfg.socket_path.empty()) {
-        std::fprintf(stderr, "--socket PATH is required\n");
-        usage(kExitUsage);
-    }
-    if (cfg.exec.isolate && cfg.exec.worker.empty())
-        cfg.exec.worker = default_worker_path(argv[0]);
+    if (cfg.socket_path.empty())
+        usage_error("--socket PATH is required");
+    // The daemon takes the executor subset of the batch flags; the
+    // journal and --serve belong to its clients.
+    if (!exec.journal.empty() || exec.resume || !exec.serve.empty())
+        usage_error("--journal, --resume and --serve are client options");
+    exec.finish(argv[0]);
+    cfg.exec.jobs = exec.jobs;
+    cfg.exec.isolate = exec.isolate;
+    cfg.exec.worker = exec.worker;
+    cfg.exec.scratch = exec.scratch;
+    cfg.exec.max_retries = exec.point_retries;
+    cfg.exec.timeout_ms = exec.point_timeout_ms;
 
     std::unique_ptr<EventTrace> trace;
     if (!trace_out.empty()) {

@@ -8,22 +8,17 @@
  *   catnap_sim --mode app --workload heavy --subnets 4 --gating catnap
  *   catnap_sim --help
  */
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "app/system.h"
 #include "ckpt/checkpoint.h"
+#include "common/batch_cli.h"
 #include "exec/point_codec.h"
-#include "exec/proc_runner.h"
-#include "exec/sweep_runner.h"
 #include "obs/export.h"
 #include "obs/snapshot.h"
 #include "obs/trace_buffer.h"
@@ -32,17 +27,9 @@
 #include "sim/simulator.h"
 
 using namespace catnap;
+using namespace catnap::cli;
 
 namespace {
-
-// Exit codes (documented in --help): supervisors and CI scripts key off
-// these, so each failure class gets its own code.
-constexpr int kExitRuntime = 1;    ///< simulation / checkpoint error
-constexpr int kExitUsage = 2;      ///< unknown option or malformed CLI
-constexpr int kExitBadValue = 3;   ///< syntactically valid flag, invalid value
-constexpr int kExitQuarantine = 4; ///< isolated sweep left quarantined points
-constexpr int kExitServe = 5;      ///< sweep-service daemon unreachable /
-                                   ///< protocol error
 
 [[noreturn]] void
 usage(int code)
@@ -69,13 +56,13 @@ usage(int code)
         "  --warmup N --measure N    phase lengths (cycles)\n"
         "  --seed N                  RNG seed\n"
         "  --no-vscale               run everything at 0.750 V\n"
-        "parallel sweeps (synthetic mode):\n"
+        "load sweeps (synthetic mode):\n"
         "  --loads A,B,C             sweep offered loads instead of one\n"
-        "                            --load point (deterministic: output\n"
-        "                            is identical for every --jobs value)\n"
-        "  --jobs N                  worker threads for the sweep\n"
-        "                            (default: one per hardware thread)\n"
+        "                            --load point\n"
         "  --csv FILE                save sweep results as CSV\n"
+        "%s"
+        "  --serve-stats SOCKET      print the daemon's statistics JSON\n"
+        "                            and exit (no sweep)\n"
         "checkpointing (synthetic single-run mode; DESIGN.md §13):\n"
         "  --save-ckpt FILE          write a checkpoint at the end of\n"
         "                            warm-up (or every --ckpt-every N\n"
@@ -112,120 +99,16 @@ usage(int code)
         "  --fault-seed N                fault RNG stream seed\n"
         "  --fault-wake-timeout N        cycles before a wake is retried\n"
         "  --fault-packet-timeout N      end-to-end deadline per attempt\n"
-        "crash isolation (synthetic --loads mode; DESIGN.md §15):\n"
-        "  --isolate                 run each sweep point in a supervised\n"
-        "                            worker subprocess: crashes, hangs,\n"
-        "                            and bad exits are contained,\n"
-        "                            classified, retried, and finally\n"
-        "                            quarantined while the rest of the\n"
-        "                            sweep completes\n"
-        "  --worker PATH             worker executable (default: this\n"
-        "                            binary)\n"
-        "  --scratch DIR             spec/result exchange directory\n"
-        "                            (default .catnap-scratch)\n"
-        "  --journal FILE            append every finished point to a\n"
-        "                            CRC-checked journal\n"
-        "  --resume                  replay FILE's intact records, run\n"
-        "                            only missing points (needs --journal;\n"
-        "                            merged output is bit-identical to an\n"
-        "                            uninterrupted run)\n"
-        "  --point-timeout MS        per-attempt wall-clock budget; hung\n"
-        "                            workers are SIGKILLed (0 = unlimited)\n"
-        "  --point-retries N         extra attempts before quarantine\n"
-        "                            (default 2)\n"
         "  --worker-spec F --worker-out F\n"
         "                            (internal) worker mode: run the one\n"
         "                            point sealed in F, write the result\n"
-        "sweep service (synthetic --loads mode; DESIGN.md §17):\n"
-        "  --serve SOCKET            resolve the sweep against a running\n"
-        "                            catnap_serve daemon: cached points\n"
-        "                            replay from its result cache, the\n"
-        "                            rest execute daemon-side. stdout is\n"
-        "                            bit-identical to the local sweep;\n"
-        "                            the hit/miss summary goes to stderr\n"
-        "  --serve-stats SOCKET      print the daemon's statistics JSON\n"
-        "                            and exit (no sweep)\n"
         "exit codes:\n"
         "  0 success                 1 simulation/runtime error\n"
         "  2 usage error             3 invalid configuration value\n"
         "  4 sweep finished with quarantined point(s)\n"
-        "  5 sweep-service daemon unreachable or protocol error\n");
+        "  5 sweep-service daemon unreachable or protocol error\n",
+        kBatchFlagsHelp);
     std::exit(code);
-}
-
-const char *
-need_value(int argc, char **argv, int &i)
-{
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", argv[i]);
-        usage(kExitUsage);
-    }
-    return argv[++i];
-}
-
-/** Rejects a flag value with a precise reason; exits kExitBadValue so
- * scripts can tell "bad config" from "bad CLI" and "sim died". */
-[[noreturn]] void
-die_value(const char *flag, const std::string &value, const std::string &why)
-{
-    std::fprintf(stderr, "catnap_sim: invalid value '%s' for %s: %s\n",
-                 value.c_str(), flag, why.c_str());
-    std::exit(kExitBadValue);
-}
-
-/** Strict integer parse: whole-string, in [lo, hi], no silent atoi
- * truncation ("--subnets 4x" and "--subnets 99999" both die loudly). */
-long long
-parse_int(const char *flag, const std::string &value, long long lo,
-          long long hi)
-{
-    char *end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(value.c_str(), &end, 10);
-    if (value.empty() || *end != '\0' || end == value.c_str())
-        die_value(flag, value, "not an integer");
-    if (errno == ERANGE || v < lo || v > hi) {
-        die_value(flag, value, "must be in [" + std::to_string(lo) + ", " +
-                                   std::to_string(hi) + "]");
-    }
-    return v;
-}
-
-/** Strict unsigned parse (seeds, cycle counts): rejects '-1' instead of
- * wrapping it to 2^64-1. */
-unsigned long long
-parse_uint(const char *flag, const std::string &value,
-           unsigned long long hi = ~0ull)
-{
-    if (!value.empty() && value[0] == '-')
-        die_value(flag, value, "must be non-negative");
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    if (value.empty() || *end != '\0' || end == value.c_str())
-        die_value(flag, value, "not an integer");
-    if (errno == ERANGE || v > hi)
-        die_value(flag, value, "must be at most " + std::to_string(hi));
-    return v;
-}
-
-/** Strict real parse: whole-string, finite (NaN and inf rejected — a
- * NaN load silently poisons every downstream metric), in [lo, hi]. */
-double
-parse_real(const char *flag, const std::string &value, double lo, double hi)
-{
-    char *end = nullptr;
-    errno = 0;
-    const double v = std::strtod(value.c_str(), &end);
-    if (value.empty() || *end != '\0' || end == value.c_str())
-        die_value(flag, value, "not a number");
-    if (!std::isfinite(v))
-        die_value(flag, value, "must be finite (NaN/inf rejected)");
-    char range[96];
-    std::snprintf(range, sizeof range, "must be in [%g, %g]", lo, hi);
-    if (errno == ERANGE || v < lo || v > hi)
-        die_value(flag, value, range);
-    return v;
 }
 
 /** An offered load: finite, strictly positive, sane upper bound. */
@@ -245,8 +128,7 @@ parse_selector(const std::string &v)
     if (v == "random") return SelectorKind::kRandom;
     if (v == "catnap") return SelectorKind::kCatnap;
     if (v == "class") return SelectorKind::kClassPartition;
-    std::fprintf(stderr, "unknown selector: %s\n", v.c_str());
-    usage(2);
+    usage_error(std::string("unknown selector: ") + v);
 }
 
 GatingKind
@@ -256,8 +138,7 @@ parse_gating(const std::string &v)
     if (v == "idle") return GatingKind::kIdle;
     if (v == "fineport") return GatingKind::kFinePort;
     if (v == "catnap") return GatingKind::kCatnap;
-    std::fprintf(stderr, "unknown gating: %s\n", v.c_str());
-    usage(2);
+    usage_error(std::string("unknown gating: ") + v);
 }
 
 CongestionMetric
@@ -268,8 +149,7 @@ parse_metric(const std::string &v)
     if (v == "ir") return CongestionMetric::kInjectionRate;
     if (v == "iqocc") return CongestionMetric::kInjQueueOcc;
     if (v == "delay") return CongestionMetric::kBlockingDelay;
-    std::fprintf(stderr, "unknown metric: %s\n", v.c_str());
-    usage(2);
+    usage_error(std::string("unknown metric: ") + v);
 }
 
 PatternKind
@@ -282,8 +162,7 @@ parse_pattern(const std::string &v)
     if (v == "shuffle") return PatternKind::kShuffle;
     if (v == "hotspot") return PatternKind::kHotspot;
     if (v == "neighbor") return PatternKind::kNeighbor;
-    std::fprintf(stderr, "unknown pattern: %s\n", v.c_str());
-    usage(2);
+    usage_error(std::string("unknown pattern: ") + v);
 }
 
 WorkloadMix
@@ -293,8 +172,7 @@ parse_workload(const std::string &v)
     if (v == "medium-light") return medium_light_mix();
     if (v == "medium-heavy") return medium_heavy_mix();
     if (v == "heavy") return heavy_mix();
-    std::fprintf(stderr, "unknown workload: %s\n", v.c_str());
-    usage(2);
+    usage_error(std::string("unknown workload: ") + v);
 }
 
 /**
@@ -330,15 +208,8 @@ parse_fields(const char *flag, const std::string &value, std::size_t want,
     }
     std::vector<long long> out;
     for (const std::string &field : fields) {
-        char *end = nullptr;
-        errno = 0;
-        const long long v = std::strtoll(field.c_str(), &end, 10);
-        if (field.empty() || *end != '\0')
-            die_value(flag, value, "field '" + field + "' is not an integer");
-        if (errno == ERANGE || v < 0)
-            die_value(flag, value,
-                      "field '" + field + "' must be non-negative");
-        out.push_back(v);
+        out.push_back(static_cast<long long>(parse_uint(
+            flag, field, std::numeric_limits<long long>::max())));
     }
     return out;
 }
@@ -351,8 +222,7 @@ parse_direction(const std::string &v)
     if (v == "south") return Direction::kSouth;
     if (v == "west") return Direction::kWest;
     if (v == "local") return Direction::kLocal;
-    std::fprintf(stderr, "unknown link direction: %s\n", v.c_str());
-    usage(2);
+    usage_error(std::string("unknown link direction: ") + v);
 }
 
 /** Parses a comma-separated load list ("0.01,0.05,0.1"). */
@@ -370,20 +240,6 @@ parse_loads(const char *flag, const std::string &value)
         pos = next + 1;
     }
     return loads;
-}
-
-/** Absolute path of the running binary, for the default --worker: the
- * supervisor re-executes itself in worker mode. */
-std::string
-self_exe_path(const char *argv0)
-{
-    char buf[4096];
-    const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-    if (n > 0) {
-        buf[n] = '\0';
-        return std::string(buf);
-    }
-    return std::string(argv0);
 }
 
 /**
@@ -438,24 +294,18 @@ main(int argc, char **argv)
     std::size_t trace_capacity = EventTrace::kDefaultCapacity;
     Cycle snapshot_every = 0;
     std::vector<double> sweep_loads;
-    int jobs = 0;
+    BatchFlags batch;
     std::string csv_out;
     std::string save_ckpt;
     std::string load_ckpt;
     Cycle ckpt_every = 0;
-    bool isolate = false;
-    bool resume = false;
-    std::string worker_path;
-    std::string scratch_dir = ".catnap-scratch";
-    std::string journal_path;
-    std::int64_t point_timeout_ms = 0;
-    int point_retries = 2;
     std::string worker_spec;
     std::string worker_out;
-    std::string serve_socket;
     std::string serve_stats_socket;
 
     for (int i = 1; i < argc; ++i) {
+        if (batch.parse(argc, argv, i))
+            continue;
         const std::string a = argv[i];
         if (a == "--help" || a == "-h") usage(0);
         else if (a == "--mode") mode = need_value(argc, argv, i);
@@ -507,9 +357,6 @@ main(int argc, char **argv)
             rp.voltage_scaling = ap.voltage_scaling = false;
         else if (a == "--loads")
             sweep_loads = parse_loads(a.c_str(), need_value(argc, argv, i));
-        else if (a == "--jobs")
-            jobs = static_cast<int>(
-                parse_int(a.c_str(), need_value(argc, argv, i), 0, 4096));
         else if (a == "--csv")
             csv_out = need_value(argc, argv, i);
         else if (a == "--save-ckpt")
@@ -531,28 +378,10 @@ main(int argc, char **argv)
                 a.c_str(), need_value(argc, argv, i), 1000000000000ull));
         else if (a == "--snapshot-out")
             snapshot_out = need_value(argc, argv, i);
-        else if (a == "--isolate")
-            isolate = true;
-        else if (a == "--resume")
-            resume = true;
-        else if (a == "--worker")
-            worker_path = need_value(argc, argv, i);
-        else if (a == "--scratch")
-            scratch_dir = need_value(argc, argv, i);
-        else if (a == "--journal")
-            journal_path = need_value(argc, argv, i);
-        else if (a == "--point-timeout")
-            point_timeout_ms = static_cast<std::int64_t>(parse_uint(
-                a.c_str(), need_value(argc, argv, i), 86400000ull));
-        else if (a == "--point-retries")
-            point_retries = static_cast<int>(
-                parse_int(a.c_str(), need_value(argc, argv, i), 0, 100));
         else if (a == "--worker-spec")
             worker_spec = need_value(argc, argv, i);
         else if (a == "--worker-out")
             worker_out = need_value(argc, argv, i);
-        else if (a == "--serve")
-            serve_socket = need_value(argc, argv, i);
         else if (a == "--serve-stats")
             serve_stats_socket = need_value(argc, argv, i);
         else if (a == "--fault-kill-router") {
@@ -611,10 +440,8 @@ main(int argc, char **argv)
         else if (a == "--fault-packet-timeout")
             cfg.fault.tuning.packet_timeout = static_cast<Cycle>(parse_uint(
                 a.c_str(), need_value(argc, argv, i), 1000000000000ull));
-        else {
-            std::fprintf(stderr, "unknown option: %s\n", a.c_str());
-            usage(kExitUsage);
-        }
+        else
+            usage_error("unknown option: " + a);
     }
 
     // Stats query mode short-circuits everything else: talk to the
@@ -635,11 +462,9 @@ main(int argc, char **argv)
     // Worker mode short-circuits everything else: the spec file is the
     // whole configuration (see run_worker above).
     if (!worker_spec.empty() || !worker_out.empty()) {
-        if (worker_spec.empty() || worker_out.empty()) {
-            std::fprintf(stderr, "--worker-spec and --worker-out are "
-                                 "required together\n");
-            usage(kExitUsage);
-        }
+        if (worker_spec.empty() || worker_out.empty())
+            usage_error("--worker-spec and --worker-out are required "
+                        "together");
         return run_worker(worker_spec, worker_out);
     }
 
@@ -649,132 +474,34 @@ main(int argc, char **argv)
                   "fewer aggregate bits than subnets leaves a zero-width "
                   "datapath per subnet");
     }
-    if (resume && journal_path.empty()) {
-        std::fprintf(stderr, "--resume requires --journal FILE\n");
-        usage(kExitUsage);
-    }
-    if ((resume || !journal_path.empty()) && !isolate) {
-        std::fprintf(stderr, "--journal/--resume require --isolate\n");
-        usage(kExitUsage);
-    }
-    if (isolate && (mode != "synthetic" || sweep_loads.empty())) {
-        std::fprintf(stderr, "--isolate applies to synthetic --loads "
-                             "sweeps\n");
-        usage(kExitUsage);
-    }
-    if (!serve_socket.empty()) {
-        if (mode != "synthetic" || sweep_loads.empty()) {
-            std::fprintf(stderr, "--serve applies to synthetic --loads "
-                                 "sweeps\n");
-            usage(kExitUsage);
-        }
-        if (isolate || !journal_path.empty()) {
-            std::fprintf(stderr, "--serve and --isolate/--journal are "
-                                 "mutually exclusive (the daemon owns "
-                                 "execution and persistence)\n");
-            usage(kExitUsage);
-        }
-    }
+    batch.finish(argv[0]);
+    if ((batch.isolate || !batch.serve.empty()) &&
+        (mode != "synthetic" || sweep_loads.empty()))
+        usage_error("--isolate/--serve apply to synthetic --loads sweeps");
     cfg.congestion.threshold =
         threshold >= 0.0
             ? threshold
             : CongestionConfig::default_threshold(cfg.congestion.metric);
 
     if (mode == "synthetic" && !sweep_loads.empty()) {
-        // Parallel load sweep: one run_synthetic point per load, fanned
-        // out over the execution engine; results arrive in load order
-        // and are bit-identical for every --jobs value.
+        // Load sweep: one point per load on the backend the batch flags
+        // select; results arrive in load order, bit-identical for every
+        // backend and --jobs value.
         if (!trace_out.empty() || !trace_jsonl.empty() ||
-            snapshot_every > 0) {
-            std::fprintf(stderr, "tracing/snapshots record one run; not "
-                                 "available with --loads\n");
-            usage(2);
+            snapshot_every > 0)
+            usage_error("tracing/snapshots record one run; not available "
+                        "with --loads");
+        if (!save_ckpt.empty() || !load_ckpt.empty())
+            usage_error("checkpoints capture one run; not available with "
+                        "--loads");
+        std::vector<RunItem> items;
+        items.reserve(sweep_loads.size());
+        for (const double load : sweep_loads) {
+            RunItem item{cfg, traffic, rp};
+            item.traffic.load = load;
+            items.push_back(std::move(item));
         }
-        if (!save_ckpt.empty() || !load_ckpt.empty()) {
-            std::fprintf(stderr, "checkpoints capture one run; not "
-                                 "available with --loads\n");
-            usage(2);
-        }
-        std::vector<SyntheticResult> rows;
-        if (!serve_socket.empty()) {
-            // Sweep-service backend: the daemon answers cached points
-            // from its result cache and executes only the rest. stdout
-            // stays bit-identical to the local sweep (the summary goes
-            // to stderr, unlike --isolate's stdout status line, so a
-            // warm-cache run diffs clean against the serial run).
-            std::vector<RunItem> items;
-            items.reserve(sweep_loads.size());
-            for (const double load : sweep_loads) {
-                RunItem item;
-                item.cfg = cfg;
-                item.traffic = traffic;
-                item.traffic.load = load;
-                item.params = rp;
-                items.push_back(std::move(item));
-            }
-            serve::ServeClientOptions copts;
-            copts.socket_path = serve_socket;
-            serve::ServedSweep sweep;
-            try {
-                sweep = serve::run_batch_served(items, copts);
-            } catch (const serve::ServeError &e) {
-                std::fprintf(stderr, "catnap_sim: %s\n", e.what());
-                return kExitServe;
-            }
-            std::fprintf(stderr,
-                         "[serve] %zu hit(s), %zu executed, %zu "
-                         "quarantined\n",
-                         sweep.hits, sweep.misses, sweep.quarantined);
-            if (!sweep.ok()) {
-                std::fputs(sweep.quarantine_summary().c_str(), stderr);
-                return kExitQuarantine;
-            }
-            rows = sweep.merged();
-        } else if (isolate) {
-            // Crash-isolated backend: one supervised worker subprocess
-            // per point, journalled and resumable; merged rows are
-            // bit-identical to the in-process sweep below.
-            std::vector<RunItem> items;
-            items.reserve(sweep_loads.size());
-            for (const double load : sweep_loads) {
-                RunItem item;
-                item.cfg = cfg;
-                item.traffic = traffic;
-                item.traffic.load = load;
-                item.params = rp;
-                items.push_back(std::move(item));
-            }
-            ProcOptions po;
-            po.worker = worker_path.empty() ? self_exe_path(argv[0])
-                                            : worker_path;
-            po.scratch_dir = scratch_dir;
-            po.journal = journal_path;
-            po.resume = resume;
-            po.jobs = jobs;
-            po.max_retries = point_retries;
-            po.timeout_ms = point_timeout_ms;
-            ProcSweepResult sweep;
-            try {
-                ProcRunner runner(po);
-                sweep = runner.run(items);
-            } catch (const std::exception &e) {
-                std::fprintf(stderr, "catnap_sim: %s\n", e.what());
-                return kExitRuntime;
-            }
-            std::printf("isolate      : %zu worker(s) spawned, %zu "
-                        "point(s) from journal, %zu quarantined\n",
-                        sweep.spawned, sweep.from_journal,
-                        sweep.quarantined);
-            if (!sweep.ok()) {
-                std::fputs(sweep.quarantine_summary().c_str(), stderr);
-                return kExitQuarantine;
-            }
-            rows = sweep.merged();
-        } else {
-            ExecOptions eo;
-            eo.jobs = jobs;
-            rows = sweep_load_parallel(cfg, traffic, rp, sweep_loads, eo);
-        }
+        const std::vector<SyntheticResult> rows = run_items(items, batch);
         std::printf("config       : %s (%dx%d mesh, %s selector, %s)\n",
                     rows.front().config_label.c_str(), cfg.mesh_width,
                     cfg.mesh_height, selector_kind_name(cfg.selector),
@@ -894,8 +621,7 @@ main(int argc, char **argv)
         std::printf("voltage      : %.3f V\n", r.vdd);
         print_power(r.power, r.power_static);
     } else {
-        std::fprintf(stderr, "unknown mode: %s\n", mode.c_str());
-        usage(2);
+        usage_error("unknown mode: " + mode);
     }
     return 0;
 }
