@@ -4,9 +4,13 @@
  * table printing, the standard phase lengths used across benches, and
  * the common command line plus sweep plumbing.
  *
- * Every harness accepts the same options: the batch flags of
- * tools/common/batch_cli.h (--jobs, --isolate, --serve, ...) and
- * --csv FILE, which additionally saves the harness's main sweep as CSV.
+ * A harness whose points are synthetic RunItems dispatches them through
+ * cli::run_items() and accepts every batch flag of
+ * tools/common/batch_cli.h (--jobs, --isolate, --serve, ...). The
+ * rest — app workloads, analytic models, one scheduled run — execute
+ * in process and accept --jobs only: a backend flag is a usage error
+ * there, never silently ignored. Every harness also takes --csv FILE,
+ * which saves the harness's main sweep as CSV.
  *
  * Results are bit-identical for every --jobs value and backend: every
  * backend delivers result i into slot i regardless of which worker
@@ -19,6 +23,7 @@
 #ifndef CATNAP_BENCH_BENCH_UTIL_H
 #define CATNAP_BENCH_BENCH_UTIL_H
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -83,25 +88,40 @@ struct BenchOptions : cli::BatchFlags
     std::string csv;
 };
 
+/** Which batch backends a harness can run its points on. */
+enum class Backends : std::uint8_t {
+    kAll,       ///< dispatches through cli::run_items()
+    kInProcess, ///< runs in process; takes --jobs but no backend flag
+};
+
 /**
- * Parses the shared harness command line. Unknown options are a hard
- * error (exit 2) so typos in reproduce.sh never pass silently.
+ * Parses the shared harness command line. Unknown options, and backend
+ * flags a kInProcess harness cannot honour, are a hard error (exit 2)
+ * so typos in reproduce.sh never pass silently.
  */
 inline BenchOptions
-parse_options(int argc, char **argv)
+parse_options(int argc, char **argv, Backends backends = Backends::kAll)
 {
     BenchOptions opts;
     for (int i = 1; i < argc; ++i) {
-        if (opts.parse(argc, argv, i))
-            continue;
         const std::string a = argv[i];
+        if (opts.parse(argc, argv, i)) {
+            if (backends == Backends::kInProcess && a != "--jobs")
+                cli::usage_error(a + ": this harness runs in process and "
+                                     "takes --jobs but no backend flag");
+            continue;
+        }
         if (a == "--csv") {
             opts.csv = cli::need_value(argc, argv, i);
         } else if (a == "--help" || a == "-h") {
             std::printf("usage: %s [options]\n"
                         "  --csv FILE                save the main sweep "
                         "as CSV\n%s",
-                        argv[0], cli::kBatchFlagsHelp);
+                        argv[0],
+                        backends == Backends::kAll
+                            ? cli::kBatchFlagsHelp
+                            : "  --jobs N                  worker threads "
+                              "(output is identical for every N)\n");
             std::exit(0);
         } else {
             cli::usage_error("unknown option '" + a + "'");

@@ -16,7 +16,8 @@ using namespace catnap;
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions opts = bench::parse_options(argc, argv);
+    const bench::BenchOptions opts =
+        bench::parse_options(argc, argv, bench::Backends::kInProcess);
     bench::header("Figure 9: compensated sleep cycles (% of time)");
 
     AppRunParams ap;

@@ -23,7 +23,7 @@ main(int argc, char **argv)
 {
     // One continuous run with a time-varying schedule -- nothing to fan
     // out; accepts the shared CLI so reproduce.sh can pass --jobs.
-    bench::parse_options(argc, argv);
+    bench::parse_options(argc, argv, bench::Backends::kInProcess);
     bench::header("Figure 12: bursty traffic ramp-up/decay (4NT-128b-PG)");
 
     MultiNocConfig cfg = multi_noc_config(4, GatingKind::kCatnap);

@@ -213,17 +213,5 @@ Restore(const MultiNocConfig &cfg, const std::string &path)
     return net;
 }
 
-std::unique_ptr<MultiNoc>
-Fork(const MultiNoc &net)
-{
-    Writer w;
-    net.Serialize(w);
-    auto copy = std::make_unique<MultiNoc>(net.config());
-    Reader r(w.bytes());
-    copy->Deserialize(r);
-    r.expect_exhausted();
-    return copy;
-}
-
 } // namespace ckpt
 } // namespace catnap

@@ -1,6 +1,6 @@
 /**
  * @file
- * Versioned checkpoint container and the Save/Restore/Fork entry points
+ * Versioned checkpoint container and the Save/Restore entry points
  * (DESIGN.md §13).
  *
  * On-disk layout (all integers little-endian):
@@ -134,13 +134,6 @@ void Save(const MultiNoc &net, const std::string &path);
  */
 std::unique_ptr<MultiNoc> Restore(const MultiNocConfig &cfg,
                                   const std::string &path);
-
-/**
- * In-memory deep copy: serializes @p net and restores into a freshly
- * constructed network with the same config. The fork shares no mutable
- * state with the original — advancing one never perturbs the other.
- */
-std::unique_ptr<MultiNoc> Fork(const MultiNoc &net);
 
 } // namespace ckpt
 } // namespace catnap

@@ -1,5 +1,7 @@
 #include "exec/point_codec.h"
 
+#include <cstdio>
+
 #include "ckpt/checkpoint.h"
 
 namespace catnap {
@@ -262,6 +264,15 @@ take_synth_result(ckpt::Reader &r)
     res.faults_fired = r.take_u64();
     res.subnet_failures = r.take_u64();
     return res;
+}
+
+std::string
+key_hex(std::uint64_t key)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(key));
+    return std::string(buf);
 }
 
 std::uint64_t

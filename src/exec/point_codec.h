@@ -32,6 +32,7 @@
 #define CATNAP_EXEC_POINT_CODEC_H
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "ckpt/archive.h"
@@ -72,6 +73,10 @@ SyntheticResult take_synth_result(ckpt::Reader &r);
  * covers). Keys journal records and seals worker result files.
  */
 std::uint64_t point_hash(const RunItem &item);
+
+/** Fixed-width lower-case hex of a point key (scratch file names,
+ * quarantine summaries, client diagnostics). */
+std::string key_hex(std::uint64_t key);
 
 /** Serializes @p item as a sealed point-spec file image. */
 std::vector<std::uint8_t> encode_point_spec(const RunItem &item);

@@ -31,30 +31,10 @@ constexpr std::int64_t kProcPollMs = 2;
 /** Exponential-backoff ceiling: retries never wait longer than this. */
 constexpr std::int64_t kBackoffCapMs = 10000;
 
-/** Microseconds on the host's monotonic clock. Host-side observability
- * only (see tools/lint host-clock exemption for src/exec/). */
-std::int64_t
-now_us()
-{
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
 std::int64_t
 now_ms()
 {
     return now_us() / 1000;
-}
-
-/** Fixed-width lower-case hex of a point key (file names, summary). */
-std::string
-key_hex(std::uint64_t key)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(key));
-    return std::string(buf);
 }
 
 std::string
@@ -105,6 +85,23 @@ ProcSweepResult::quarantine_summary() const
     return s;
 }
 
+PointReport
+run_point_in_process(const RunItem &item)
+{
+    PointReport rep;
+    rep.key = point_hash(item);
+    rep.offered_load = item.traffic.load;
+    rep.seed = item.params.seed;
+    rep.attempts = 1;
+    try {
+        rep.result = run_synthetic(item.cfg, item.traffic, item.params);
+        rep.status = PointStatus::kOk;
+    } catch (const std::exception &e) {
+        rep.failures.push_back({PointFailKind::kThrew, 0, e.what()});
+    }
+    return rep;
+}
+
 ProcRunner::ProcRunner(const ProcOptions &opts) : opts_(opts)
 {
     if (opts_.worker.empty())
@@ -113,6 +110,7 @@ ProcRunner::ProcRunner(const ProcOptions &opts) : opts_(opts)
         throw std::invalid_argument("proc: scratch_dir is required");
     if (opts_.resume && opts_.journal.empty())
         throw std::invalid_argument("proc: --resume requires a journal");
+    epoch_us_ = now_us();
 }
 
 void
@@ -146,13 +144,6 @@ ProcRunner::run(const std::vector<RunItem> &items)
     if (n == 0)
         return out;
     epoch_us_ = now_us();
-
-    std::error_code ec;
-    std::filesystem::create_directories(opts_.scratch_dir, ec);
-    if (ec) {
-        throw std::runtime_error("proc: cannot create scratch dir '" +
-                                 opts_.scratch_dir + "': " + ec.message());
-    }
 
     // Replay the journal before opening it for writing: in append mode
     // replay decides which points are already done, in truncate mode a
@@ -235,6 +226,12 @@ ProcRunner::run_point(std::size_t index, const RunItem &item,
     PointReport rep;
     rep.key = key;
 
+    std::error_code ec;
+    std::filesystem::create_directories(opts_.scratch_dir, ec);
+    if (ec) {
+        throw std::runtime_error("proc: cannot create scratch dir '" +
+                                 opts_.scratch_dir + "': " + ec.message());
+    }
     const std::string base = opts_.scratch_dir + "/pt_" + key_hex(key);
     const std::string spec_path = base + ".spec";
     const std::string out_path = base + ".result";

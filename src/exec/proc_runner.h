@@ -105,6 +105,9 @@ enum class PointFailKind : std::int8_t {
     kTimeout = 3,   ///< watchdog SIGKILL at the budget (detail=ms)
     kBadResult = 4, ///< worker exited 0 but its result image failed
                     ///< validation (missing/truncated/corrupt/foreign)
+    kThrew = 5,     ///< the point threw instead of producing a result
+                    ///< (in process, or a supervisor-side fault in
+                    ///< the daemon); never in a proc.* event
 };
 
 /** One failed attempt, classified. */
@@ -115,17 +118,28 @@ struct PointFailure
     std::string message;     ///< human-readable classification
 };
 
-/** Outcome of one sweep point. */
+/** Outcome of one sweep point: what every per-point executor returns
+ * (ProcRunner::run_point, run_point_in_process). */
 struct PointReport
 {
     PointStatus status = PointStatus::kQuarantined;
     std::uint64_t key = 0;     ///< point hash (journal key)
     double offered_load = 0;   ///< the point's traffic load (summary id)
     std::uint64_t seed = 0;    ///< the point's run seed (summary id)
-    int attempts = 0;          ///< workers spawned for this point
+    int attempts = 0;          ///< executions of this point (workers
+                               ///< spawned, or 1 in process)
     std::vector<PointFailure> failures; ///< one entry per failed attempt
     SyntheticResult result; ///< valid unless quarantined
 };
+
+/**
+ * Runs one point on the calling thread: the in-process counterpart of
+ * ProcRunner::run_point. attempts is 1. A thrown exception quarantines
+ * the point with the exception's message as its one failure (kThrew);
+ * there is no retry, because the simulator is deterministic and a
+ * retry would fail identically. Never throws.
+ */
+PointReport run_point_in_process(const RunItem &item);
 
 /** Outcome of a whole isolated sweep. */
 struct ProcSweepResult
@@ -156,9 +170,10 @@ struct ProcSweepResult
 };
 
 /**
- * The supervisor. Not copyable; one instance per sweep. Lives in
- * src/exec/, which is host-side by contract (tools/lint host-clock
- * exemption): nothing here runs during a simulation phase.
+ * The supervisor. Not copyable; one instance per sweep, or one per
+ * daemon calling run_point(). Lives in src/exec/, which is host-side by
+ * contract (tools/lint host-clock exemption): nothing here runs during
+ * a simulation phase.
  */
 class ProcRunner
 {
@@ -178,11 +193,18 @@ class ProcRunner
      */
     ProcSweepResult run(const std::vector<RunItem> &items);
 
-    const ProcOptions &options() const { return opts_; }
-
-  private:
+    /**
+     * Runs one point (key = point_hash(item)) through a supervised
+     * worker, retrying and finally quarantining it as the options say;
+     * @p index labels its proc.* events. This is the per-point body of
+     * run(); journal replay and dedup stay in run(). Safe to call
+     * concurrently for distinct keys (scratch files are named by key).
+     * Throws on supervisor-side faults only, like run().
+     */
     PointReport run_point(std::size_t index, const RunItem &item,
                           std::uint64_t key);
+
+  private:
     void emit(TraceEvent ev);
     void journal_append(std::uint64_t key,
                         const std::vector<std::uint8_t> &payload);
@@ -191,7 +213,7 @@ class ProcRunner
     std::mutex sink_mutex_;
     std::mutex journal_mutex_;
     std::unique_ptr<ckpt::JournalWriter> journal_;
-    std::int64_t epoch_us_ = 0; ///< sweep start, host microseconds
+    std::int64_t epoch_us_ = 0; ///< construction or run() start, host us
 };
 
 } // namespace catnap

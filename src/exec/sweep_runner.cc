@@ -7,10 +7,6 @@
 
 namespace catnap {
 
-namespace {
-
-/** Microseconds on the host's monotonic clock. Host-side observability
- * only (see tools/lint host-clock exemption for src/exec/). */
 std::int64_t
 now_us()
 {
@@ -18,6 +14,8 @@ now_us()
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
 }
+
+namespace {
 
 /** Clamps a microsecond duration into the 32-bit event payload. */
 std::int32_t

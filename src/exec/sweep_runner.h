@@ -35,6 +35,12 @@
 
 namespace catnap {
 
+/** Microseconds on the host's monotonic clock: the time base of every
+ * host-time event (exec.*, proc.*, serve.*). Host-side observability
+ * only; it never feeds simulation state (tools/lint host-clock
+ * exemption for src/exec/ and src/serve/). */
+std::int64_t now_us();
+
 /** Batch-execution policy shared by every point of a batch. */
 struct ExecOptions
 {
@@ -89,8 +95,6 @@ class SweepRunner
     /** Type-erased form of map(): runs @p body(i) for i in [0, n). */
     void run_jobs(std::size_t n,
                   const std::function<void(std::size_t)> &body);
-
-    const ExecOptions &options() const { return opts_; }
 
   private:
     void emit(const TraceEvent &ev);

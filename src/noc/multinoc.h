@@ -236,8 +236,8 @@ class MultiNoc
      * metrics, congestion detector, every router and NI, the selector
      * and gating policies, and (when a fault plan is configured) the
      * fault controller. Construction-time wiring — topology, neighbour
-     * pointers, adapters, sinks — is not serialized; Restore/Fork build
-     * a fresh MultiNoc from the same config and overwrite only data
+     * pointers, adapters, sinks — is not serialized; Restore builds
+     * a fresh MultiNoc from the same config and overwrites only data
      * state via Deserialize().
      */
     CATNAP_COLD_PATH CATNAP_PHASE_READ void Serialize(ckpt::Writer &w) const;

@@ -141,10 +141,10 @@ enum class EventKind : std::int8_t {
      */
     kServeRequest = 24,
 
-    /** Sweep service: one in-process executor job (one cache miss)
-     * finished. [node=point index in the request, a=points in the job
-     * (always 1), b=0 ok / 1 quarantined; `cycle` is host
-     * microseconds] */
+    /** Sweep service: one executed cache miss finished, on either
+     * backend. [node=point index in the request, a=attempts (1 in
+     * process, workers spawned under isolate), b=0 ok / 1 quarantined;
+     * `cycle` is host microseconds] */
     kServeExec = 25,
 
     /** Sweep service: a cache insert pushed the result cache past its

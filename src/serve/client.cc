@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <thread>
@@ -180,15 +179,6 @@ stat_u64(const JsonValue &stats, const char *name)
                          name + "\"");
     }
     return static_cast<std::uint64_t>(v->number);
-}
-
-std::string
-key_hex(std::uint64_t key)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(key));
-    return buf;
 }
 
 } // namespace

@@ -52,13 +52,6 @@ struct ServeClientOptions
     std::int64_t retry_delay_ms = 250;
 };
 
-/** Where one served point's bytes came from. */
-enum class ServedStatus : std::int8_t {
-    kHit = 0,         ///< replayed from the daemon's result cache
-    kMiss = 1,        ///< executed by the daemon for this request
-    kQuarantined = 2, ///< every daemon-side attempt failed; no result
-};
-
 /** Outcome of one served batch (shape mirrors ProcSweepResult). */
 struct ServedSweep
 {

@@ -1,7 +1,6 @@
 #include "serve/server.h"
 
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -14,7 +13,6 @@
 
 #include "ckpt/archive.h"
 #include "exec/point_codec.h"
-#include "exec/proc_runner.h"
 #include "serve/json.h"
 
 namespace catnap {
@@ -27,17 +25,6 @@ constexpr int kAcceptPollMs = 200;
 
 /** Per-read chunk while reassembling frames. */
 constexpr std::size_t kReadChunk = 64 * 1024;
-
-/** Microseconds on the host's monotonic clock. serve.* events are
- * host-time observability, same contract as the exec.* and proc.*
- * kinds (and the same tools/lint host-clock exemption). */
-std::int64_t
-now_us()
-{
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 /** Appends one "name":value JSON member (u64 value). */
 void
@@ -169,8 +156,16 @@ ServeServer::ServeServer(const ServeConfig &cfg) : cfg_(cfg)
 {
     if (cfg_.socket_path.empty())
         throw std::invalid_argument("serve: socket path is required");
-    if (cfg_.exec.isolate && cfg_.exec.worker.empty())
-        throw std::invalid_argument("serve: isolate mode needs a worker");
+    if (cfg_.exec.isolate) {
+        // ProcRunner rejects an empty worker or scratch path.
+        ProcOptions popts;
+        popts.worker = cfg_.exec.worker;
+        popts.scratch_dir = cfg_.exec.scratch;
+        popts.max_retries = cfg_.exec.max_retries;
+        popts.timeout_ms = cfg_.exec.timeout_ms;
+        popts.sink = cfg_.sink;
+        proc_ = std::make_unique<ProcRunner>(popts);
+    }
 
     cache_ = std::make_unique<ResultCache>(cfg_.cache);
     stats_.restored_records = cache_->restored();
@@ -435,13 +430,13 @@ ServeServer::handle_sweep(const std::vector<RunItem> &items)
     std::uint64_t quarantined = 0;
     for (const PointAnswer &a : answers) {
         switch (a.status) {
-        case PointAnswer::Status::kHit:
+        case ServedStatus::kHit:
             ++hits;
             break;
-        case PointAnswer::Status::kMiss:
+        case ServedStatus::kMiss:
             ++misses;
             break;
-        case PointAnswer::Status::kQuarantined:
+        case ServedStatus::kQuarantined:
             ++quarantined;
             break;
         }
@@ -471,13 +466,13 @@ ServeServer::handle_sweep(const std::vector<RunItem> &items)
         if (i != 0)
             out += ',';
         switch (a.status) {
-        case PointAnswer::Status::kHit:
+        case ServedStatus::kHit:
             out += "{\"status\":\"hit\",\"result\":\"";
             break;
-        case PointAnswer::Status::kMiss:
+        case ServedStatus::kMiss:
             out += "{\"status\":\"miss\",\"result\":\"";
             break;
-        case PointAnswer::Status::kQuarantined:
+        case ServedStatus::kQuarantined:
             out += "{\"status\":\"quarantined\",\"error\":";
             out += json_quote(a.error);
             out += '}';
@@ -546,7 +541,7 @@ ServeServer::resolve_points(const std::vector<RunItem> &items)
                         valid = false;
                     }
                     if (valid) {
-                        answers[i].status = PointAnswer::Status::kHit;
+                        answers[i].status = ServedStatus::kHit;
                         answers[i].result_payload = std::move(payload);
                         continue;
                     }
@@ -580,136 +575,82 @@ ServeServer::execute_misses(const std::vector<RunItem> &items,
                             const std::vector<std::size_t> &pending,
                             std::vector<PointAnswer> &answers)
 {
-    // Whatever happens below, every claimed key must be released or the
-    // single-flight table wedges other requests forever.
-    std::vector<char> done(pending.size(), 0);
-    try {
-        if (cfg_.exec.isolate) {
-            std::vector<RunItem> misses;
-            misses.reserve(pending.size());
-            for (const std::size_t slot : pending)
-                misses.push_back(items[slot]);
-
-            ProcOptions popts;
-            popts.worker = cfg_.exec.worker;
-            popts.scratch_dir = cfg_.exec.scratch;
-            popts.jobs = cfg_.exec.jobs;
-            popts.max_retries = cfg_.exec.max_retries;
-            popts.timeout_ms = cfg_.exec.timeout_ms;
-            popts.sink = cfg_.sink;
-            ProcRunner runner(popts);
-            const ProcSweepResult swept = runner.run(misses);
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                stats_.executed += swept.spawned;
-                stats_.batches += pending.size();
-            }
-            for (std::size_t p = 0; p < pending.size(); ++p) {
-                const PointReport &rep = swept.points[p];
-                const std::size_t slot = pending[p];
-                if (rep.status == PointStatus::kQuarantined) {
-                    std::string why = "quarantined after " +
-                                      std::to_string(rep.attempts) +
-                                      " attempt(s)";
-                    for (const PointFailure &f : rep.failures)
-                        why += "; " + f.message;
-                    finish_point(keys[slot], slot, false, {}, why, answers);
-                } else {
-                    ckpt::Writer w;
-                    put_synth_result(w, rep.result);
-                    finish_point(keys[slot], slot, true, w.bytes(), "",
-                                 answers);
-                }
-                done[p] = 1;
-            }
-        } else {
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                stats_.executed += pending.size();
-                stats_.batches += pending.size();
-            }
-
-            ExecOptions eopts;
-            eopts.jobs = cfg_.exec.jobs;
-            SweepRunner runner(eopts);
-            runner.run_jobs(pending.size(), [&](std::size_t p) {
-                const std::size_t slot = pending[p];
-                bool ok = true;
-                try {
-                    const SyntheticResult res =
-                        run_synthetic(items[slot].cfg, items[slot].traffic,
-                                      items[slot].params);
-                    ckpt::Writer w;
-                    put_synth_result(w, res);
-                    finish_point(keys[slot], slot, true, w.bytes(), "",
-                                 answers);
-                } catch (const std::exception &e) {
-                    // The simulator is deterministic: an in-process
-                    // retry would fail identically, so the point
-                    // quarantines immediately.
-                    ok = false;
-                    finish_point(keys[slot], slot, false, {},
-                                 std::string("point threw: ") + e.what(),
-                                 answers);
-                }
-                done[p] = 1;
-                TraceEvent ev{};
-                ev.kind = EventKind::kServeExec;
-                ev.node = static_cast<NodeId>(slot);
-                ev.a = 1;
-                ev.b = ok ? 0 : 1;
-                emit(ev);
-            });
+    ExecOptions eopts;
+    eopts.jobs = cfg_.exec.jobs;
+    SweepRunner(eopts).run_jobs(pending.size(), [&](std::size_t p) {
+        const std::size_t slot = pending[p];
+        PointReport rep;
+        try {
+            rep = proc_ ? proc_->run_point(slot, items[slot], keys[slot])
+                        : run_point_in_process(items[slot]);
+        } catch (const std::exception &e) {
+            // Supervisor-side fault (unrunnable worker, unwritable
+            // scratch): the point quarantines with the reason.
+            rep.failures.push_back({PointFailKind::kThrew, 0,
+                                    std::string("executor failed: ") +
+                                        e.what()});
         }
-    } catch (const std::exception &e) {
-        // Supervisor-side failure (unrunnable worker, unwritable
-        // scratch, ...): quarantine whatever did not finish so the
-        // claimed keys are released and the client gets a reason.
-        for (std::size_t q = 0; q < pending.size(); ++q) {
-            if (!done[q]) {
-                finish_point(keys[pending[q]], pending[q], false, {},
-                             std::string("executor failed: ") + e.what(),
-                             answers);
-            }
-        }
-    }
+        // Every claimed key reaches finish_point, or the single-flight
+        // table would wedge other requests forever.
+        finish_point(keys[slot], slot, rep, answers);
+    });
 }
 
 void
-ServeServer::finish_point(std::uint64_t key, std::size_t answer_index,
-                          bool ok, const std::vector<std::uint8_t> &payload,
-                          const std::string &error,
+ServeServer::finish_point(std::uint64_t key, std::size_t slot,
+                          const PointReport &rep,
                           std::vector<PointAnswer> &answers)
 {
+    // Slot @p slot is written only by this point's job.
+    PointAnswer &answer = answers[slot];
+    const bool ok = rep.status != PointStatus::kQuarantined;
+    if (ok) {
+        ckpt::Writer w;
+        put_synth_result(w, rep.result);
+        answer.status = ServedStatus::kMiss;
+        answer.result_payload = w.bytes();
+    } else {
+        answer.status = ServedStatus::kQuarantined;
+        answer.error = "quarantined after " + std::to_string(rep.attempts) +
+                       " attempt(s)";
+        for (const PointFailure &f : rep.failures)
+            answer.error += "; " + f.message;
+    }
+
     std::size_t live_entries = 0;
     std::uint64_t evicted_delta = 0;
     {
         std::lock_guard<std::mutex> lock(mu_);
+        stats_.executed += static_cast<std::uint64_t>(rep.attempts);
+        stats_.batches += 1;
         if (ok) {
-            answers[answer_index].status = PointAnswer::Status::kMiss;
-            answers[answer_index].result_payload = payload;
             const std::uint64_t evicted_before = cache_->evicted();
             try {
                 // Inserted (and flushed) the moment the point finishes:
                 // a daemon killed right after this loses nothing.
-                cache_->insert(key, payload);
+                cache_->insert(key, answer.result_payload);
             } catch (const ckpt::CkptError &) {
                 // Disk trouble degrades durability, never the answer.
             }
             evicted_delta = cache_->evicted() - evicted_before;
             live_entries = cache_->entries();
-        } else {
-            // Never cached: the next request re-executes the point.
-            answers[answer_index].status = PointAnswer::Status::kQuarantined;
-            answers[answer_index].error = error;
         }
+        // A quarantined point is never cached: the next request
+        // re-executes it.
         inflight_.erase(key);
     }
     // Waiters re-check the cache (hit) or re-claim (quarantined key).
     inflight_cv_.notify_all();
 
+    TraceEvent ev{};
+    ev.kind = EventKind::kServeExec;
+    ev.node = static_cast<NodeId>(slot);
+    ev.a = rep.attempts;
+    ev.b = ok ? 0 : 1;
+    emit(ev);
+
     if (evicted_delta > 0) {
-        TraceEvent ev{};
+        ev = TraceEvent{};
         ev.kind = EventKind::kServeEvict;
         ev.a = static_cast<std::int32_t>(evicted_delta);
         ev.b = static_cast<std::int32_t>(live_entries);

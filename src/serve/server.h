@@ -6,13 +6,14 @@
  * length-prefixed JSON frames (serve/frame.h). A sweep request carries
  * sealed point-spec images (exec/point_codec.h); every point is keyed
  * by its 64-bit "PNT1" identity hash and answered from the persistent
- * result cache (serve/cache.h) when possible. Misses execute one point
- * per job through the existing execution machinery — SweepRunner in
- * process by default, or supervised catnap_sim worker subprocesses
- * (ProcRunner, with its retry/backoff and quarantine semantics) under
- * ServeExecPolicy::isolate — and land in the cache the moment each
- * point completes, so a daemon killed mid-sweep loses at most the
- * point in flight.
+ * result cache (serve/cache.h) when possible. Misses run one point per
+ * SweepRunner job through one per-point executor that returns a
+ * PointReport: run_point_in_process() by default, or
+ * ProcRunner::run_point() under ServeExecPolicy::isolate (a supervised
+ * catnap_sim worker subprocess with retry/backoff and quarantine).
+ * On either backend each point lands in the cache, and releases its
+ * single-flight waiters, the moment it finishes, so a daemon killed
+ * mid-sweep loses at most the points in flight.
  *
  * Concurrency contract:
  *   - one handler thread per connection; the cache, statistics, and
@@ -41,6 +42,7 @@
 #include <thread>
 #include <vector>
 
+#include "exec/proc_runner.h"
 #include "exec/sweep_runner.h"
 #include "obs/event.h"
 #include "serve/cache.h"
@@ -51,6 +53,13 @@ namespace serve {
 
 /** Cap on points per sweep request (bounds per-request allocation). */
 constexpr std::size_t kMaxPointsPerRequest = 4096;
+
+/** Where one served point's bytes came from. */
+enum class ServedStatus : std::int8_t {
+    kHit = 0,         ///< replayed from the daemon's result cache
+    kMiss = 1,        ///< executed by the daemon for this request
+    kQuarantined = 2, ///< every daemon-side attempt failed; no result
+};
 
 /** How cache misses are executed. */
 struct ServeExecPolicy
@@ -165,17 +174,10 @@ class ServeServer
     /** Snapshot of the daemon counters. */
     ServeStats stats() const;
 
-    const ServeConfig &config() const { return cfg_; }
-
   private:
     struct PointAnswer
     {
-        enum class Status : std::int8_t {
-            kHit = 0,
-            kMiss = 1,
-            kQuarantined = 2,
-        };
-        Status status = Status::kQuarantined;
+        ServedStatus status = ServedStatus::kQuarantined;
         std::vector<std::uint8_t> result_payload; ///< synth-result bytes
         std::string error;                        ///< quarantine reason
     };
@@ -189,9 +191,8 @@ class ServeServer
                         const std::vector<std::uint64_t> &keys,
                         const std::vector<std::size_t> &pending,
                         std::vector<PointAnswer> &answers);
-    void finish_point(std::uint64_t key, std::size_t answer_index,
-                      bool ok, const std::vector<std::uint8_t> &payload,
-                      const std::string &error,
+    void finish_point(std::uint64_t key, std::size_t slot,
+                      const PointReport &rep,
                       std::vector<PointAnswer> &answers);
     ServeStats stats_locked() const;
     void write_stats_file();
@@ -199,6 +200,7 @@ class ServeServer
 
     ServeConfig cfg_;
     std::unique_ptr<ResultCache> cache_;
+    std::unique_ptr<ProcRunner> proc_; ///< the isolate backend, else null
     int listen_fd_ = -1;
 
     mutable std::mutex mu_;            ///< cache + stats + single-flight

@@ -2,7 +2,7 @@
  * @file
  * Checkpoint subsystem tests (src/ckpt, DESIGN.md §13): container
  * validation (magic/version/hash/truncation/CRC), byte-identical
- * round-trips, fork independence, and mid-run save/resume identity.
+ * round-trips, and mid-run save/resume identity.
  */
 #include <gtest/gtest.h>
 
@@ -330,55 +330,6 @@ TEST(CkptNet, FileSaveRestoreRoundTrip)
     no_fault.fault = FaultPlan{};
     no_fault.fault.wake_loss_prob = 0.0;
     EXPECT_THROW(ckpt::Restore(no_fault, f.path()), ckpt::CkptError);
-}
-
-TEST(CkptNet, ForkSharesNoMutableState)
-{
-    const MultiNocConfig cfg = test_config();
-    MultiNoc net(cfg);
-    SyntheticConfig traffic;
-    traffic.load = 0.25;
-    SyntheticTraffic gen(&net, traffic, 21);
-    run_traffic(net, gen, 600);
-
-    std::unique_ptr<MultiNoc> fork = ckpt::Fork(net);
-    const std::vector<std::uint8_t> at_fork = net_bytes(net);
-    EXPECT_EQ(net_bytes(*fork), at_fork);
-
-    // Advancing the fork (with its own traffic) must not perturb the
-    // original's serialized state in any byte.
-    SyntheticTraffic fork_gen(fork.get(), traffic, 22);
-    run_traffic(*fork, fork_gen, 500);
-    EXPECT_EQ(net_bytes(net), at_fork);
-    EXPECT_NE(net_bytes(*fork), at_fork);
-
-    // And the two diverge independently: same steps, different seeds.
-    run_traffic(net, gen, 500);
-    EXPECT_EQ(net.now(), fork->now());
-    EXPECT_NE(net_bytes(net), net_bytes(*fork));
-}
-
-TEST(CkptNet, ForkBehavesIdenticallyToOriginal)
-{
-    // Two identical generators drive the original and the fork through
-    // the same future: every byte of evolving state must stay equal.
-    const MultiNocConfig cfg = test_config();
-    MultiNoc net(cfg);
-    SyntheticConfig traffic;
-    traffic.load = 0.30;
-    SyntheticTraffic gen(&net, traffic, 33);
-    run_traffic(net, gen, 700);
-
-    std::unique_ptr<MultiNoc> fork = ckpt::Fork(net);
-    ckpt::Writer gw;
-    gen.Serialize(gw);
-    SyntheticTraffic fork_gen(fork.get(), traffic, 33);
-    ckpt::Reader gr(gw.bytes());
-    fork_gen.Deserialize(gr);
-
-    run_traffic(net, gen, 900);
-    run_traffic(*fork, fork_gen, 900);
-    EXPECT_EQ(net_bytes(net), net_bytes(*fork));
 }
 
 // -- Mid-run save / resume -------------------------------------------------

@@ -11,12 +11,17 @@
  *     every intact record and re-executes nothing else;
  *   - single-flight: concurrent clients requesting the same uncached
  *     point execute it exactly once;
- *   - quarantined points are never cached (the next request retries);
+ *   - quarantined points are never cached (the next request retries),
+ *     on both backends, whether the point throws or the worker cannot
+ *     even be spawned;
+ *   - misses land in the cache per point as they finish, on both
+ *     backends, not when the whole request finishes;
  *   - a malformed frame or payload gets a precise error reply, never a
  *     crash or hang.
  */
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -619,6 +624,146 @@ TEST(ServeServer, IsolateBackendMatchesInProcessBytes)
     const auto items = serve_items({0.02, 0.05});
     const ServedSweep got =
         serve::run_batch_served(items, client_options(cfg));
+    ASSERT_TRUE(got.ok()) << got.quarantine_summary();
+    EXPECT_EQ(to_csv(got.merged()), to_csv(run_batch(items)));
+    server.stop();
+}
+
+/** One good point and one point whose num_vcs MultiNoc rejects (its
+ * constructor throws). */
+std::vector<RunItem>
+good_and_throwing_items()
+{
+    auto items = serve_items({0.02, 0.05});
+    items[1].cfg.num_vcs = 13;
+    return items;
+}
+
+/** The throwing point is answered quarantined with @p reason, is never
+ * cached, and is executed again by the next request. */
+void
+expect_throwing_point_requarantined(const ServeConfig &cfg,
+                                    const std::string &reason)
+{
+    ServeServer server(cfg);
+    server.start();
+    const auto items = good_and_throwing_items();
+
+    const ServedSweep first =
+        serve::run_batch_served(items, client_options(cfg));
+    ASSERT_EQ(first.statuses.size(), 2u);
+    EXPECT_EQ(first.statuses[0], ServedStatus::kMiss);
+    EXPECT_EQ(first.statuses[1], ServedStatus::kQuarantined);
+    EXPECT_NE(first.errors[1].find(reason), std::string::npos)
+        << first.errors[1];
+    EXPECT_EQ(server.stats().cache_entries, 1u);
+    EXPECT_EQ(server.stats().executed, 2u);
+
+    const ServedSweep second =
+        serve::run_batch_served(items, client_options(cfg));
+    ASSERT_EQ(second.statuses.size(), 2u);
+    EXPECT_EQ(second.statuses[0], ServedStatus::kHit);
+    EXPECT_EQ(second.statuses[1], ServedStatus::kQuarantined);
+    const serve::ServeStats stats = server.stats();
+    EXPECT_EQ(stats.cache_entries, 1u);
+    EXPECT_EQ(stats.executed, 3u); // the throwing point ran again
+    EXPECT_EQ(stats.quarantined, 2u);
+    server.stop();
+}
+
+TEST(ServeServer, ThrowingPointQuarantinesInProcessAndIsRetried)
+{
+    const ServeConfig cfg = server_config(fresh_dir("throwin"));
+    expect_throwing_point_requarantined(
+        cfg, "quarantined after 1 attempt(s); panic: assertion failed: "
+             "cfg.num_vcs");
+}
+
+TEST(ServeServer, ThrowingPointQuarantinesIsolatedAndIsRetried)
+{
+    const std::string dir = fresh_dir("throwiso");
+    ServeConfig cfg = server_config(dir);
+    cfg.exec.isolate = true;
+    cfg.exec.worker = CATNAP_SIM_PATH;
+    cfg.exec.scratch = dir + "/scratch";
+    cfg.exec.max_retries = 0;
+    expect_throwing_point_requarantined(
+        cfg, "quarantined after 1 attempt(s); exit code 1");
+}
+
+TEST(ServeServer, UnrunnableWorkerQuarantinesAndReleasesItsKeys)
+{
+    const std::string dir = fresh_dir("nowork");
+    ServeConfig cfg = server_config(dir);
+    cfg.exec.isolate = true;
+    cfg.exec.worker = "/nonexistent/worker";
+    cfg.exec.scratch = dir + "/scratch";
+    ServeServer server(cfg);
+    server.start();
+
+    const auto items = serve_items({0.02, 0.05, 0.08});
+    for (int pass = 0; pass < 2; ++pass) {
+        // The second pass returning at all shows the first released
+        // every claimed key; a leaked claim would block it forever.
+        const ServedSweep got =
+            serve::run_batch_served(items, client_options(cfg));
+        ASSERT_EQ(got.quarantined, items.size());
+        for (const std::string &error : got.errors)
+            EXPECT_NE(error.find("executor failed: proc: cannot spawn "
+                                 "worker '/nonexistent/worker'"),
+                      std::string::npos)
+                << error;
+    }
+    const serve::ServeStats stats = server.stats();
+    EXPECT_EQ(stats.quarantined, 2 * items.size());
+    EXPECT_EQ(stats.executed, 0u); // no worker ever started
+    EXPECT_EQ(stats.cache_entries, 0u);
+    server.stop();
+}
+
+TEST(ServeServer, IsolatedMissesLandInTheCachePerPoint)
+{
+    const std::string dir = fresh_dir("perpt");
+    // The first worker, claimed atomically by mkdir, runs straight
+    // through; every later one waits for the release file.
+    const std::string worker = dir + "/worker.sh";
+    const std::string release = dir + "/release";
+    {
+        std::ofstream out(worker);
+        out << "#!/bin/sh\n"
+            << "if ! mkdir '" << dir << "/first' 2>/dev/null; then\n"
+            << "  while [ ! -e '" << release << "' ]; do sleep 0.02; done\n"
+            << "fi\n"
+            << "exec '" << CATNAP_SIM_PATH << "' \"$@\"\n";
+    }
+    ::chmod(worker.c_str(), 0755);
+
+    ServeConfig cfg = server_config(dir);
+    cfg.exec.jobs = 1;
+    cfg.exec.isolate = true;
+    cfg.exec.worker = worker;
+    cfg.exec.scratch = dir + "/scratch";
+    ServeServer server(cfg);
+    server.start();
+
+    const auto items = serve_items({0.02, 0.05});
+    ServedSweep got;
+    std::thread client([&] {
+        got = serve::run_batch_served(items, client_options(cfg));
+    });
+    // The first point must be cached while the second still blocks.
+    bool landed = false;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!landed && std::chrono::steady_clock::now() < deadline) {
+        landed = server.stats().cache_entries == 1;
+        if (!landed)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    { std::ofstream touch(release); }
+    client.join();
+    EXPECT_TRUE(landed) << "no result reached the cache before the "
+                           "request finished";
     ASSERT_TRUE(got.ok()) << got.quarantine_summary();
     EXPECT_EQ(to_csv(got.merged()), to_csv(run_batch(items)));
     server.stop();
