@@ -116,12 +116,10 @@ parse_options(int argc, char **argv, Backends backends = Backends::kAll)
         } else if (a == "--help" || a == "-h") {
             std::printf("usage: %s [options]\n"
                         "  --csv FILE                save the main sweep "
-                        "as CSV\n%s",
-                        argv[0],
-                        backends == Backends::kAll
-                            ? cli::kBatchFlagsHelp
-                            : "  --jobs N                  worker threads "
-                              "(output is identical for every N)\n");
+                        "as CSV\n%s%s",
+                        argv[0], cli::kJobsFlagHelp,
+                        backends == Backends::kAll ? cli::kBackendFlagsHelp
+                                                   : "");
             std::exit(0);
         } else {
             cli::usage_error("unknown option '" + a + "'");

@@ -110,6 +110,13 @@ ProcRunner::ProcRunner(const ProcOptions &opts) : opts_(opts)
         throw std::invalid_argument("proc: scratch_dir is required");
     if (opts_.resume && opts_.journal.empty())
         throw std::invalid_argument("proc: --resume requires a journal");
+    // Before run() opens a journal, which may live inside it.
+    std::error_code ec;
+    std::filesystem::create_directories(opts_.scratch_dir, ec);
+    if (ec) {
+        throw std::runtime_error("proc: cannot create scratch dir '" +
+                                 opts_.scratch_dir + "': " + ec.message());
+    }
     epoch_us_ = now_us();
 }
 
@@ -226,12 +233,6 @@ ProcRunner::run_point(std::size_t index, const RunItem &item,
     PointReport rep;
     rep.key = key;
 
-    std::error_code ec;
-    std::filesystem::create_directories(opts_.scratch_dir, ec);
-    if (ec) {
-        throw std::runtime_error("proc: cannot create scratch dir '" +
-                                 opts_.scratch_dir + "': " + ec.message());
-    }
     const std::string base = opts_.scratch_dir + "/pt_" + key_hex(key);
     const std::string spec_path = base + ".spec";
     const std::string out_path = base + ".result";

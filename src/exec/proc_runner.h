@@ -178,7 +178,8 @@ struct ProcSweepResult
 class ProcRunner
 {
   public:
-    /** Validates @p opts (worker and scratch_dir required). */
+    /** Validates @p opts (worker and scratch_dir required) and creates
+     * the scratch directory; throws if it cannot. */
     explicit ProcRunner(const ProcOptions &opts);
 
     ProcRunner(const ProcRunner &) = delete;
@@ -187,7 +188,7 @@ class ProcRunner
     /**
      * Runs every item through a supervised worker (or the journal) and
      * returns index-ordered reports. Throws on supervisor-side errors
-     * only — an unrunnable worker binary, an unwritable scratch dir or
+     * only — an unrunnable worker binary, an unwritable scratch file or
      * journal; *worker* failures are classified and quarantined, never
      * thrown.
      */

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <initializer_list>
 #include <sstream>
@@ -400,6 +401,22 @@ TEST(ExecProc, PartialJournalResumesOnlyMissingPoints)
     EXPECT_EQ(resumed.from_journal, 2u);
     EXPECT_EQ(resumed.spawned, 1u);
     EXPECT_EQ(to_csv(resumed.merged()), to_csv(run_batch(three)));
+}
+
+TEST(ExecProc, JournalInsideFreshScratchDirIsCreated)
+{
+    // The journal lives inside a scratch directory that does not exist
+    // yet: the runner must create the directory before opening it.
+    const auto items = proc_items({0.02});
+    ProcOptions po = proc_options("fresh_scratch");
+    std::filesystem::remove_all(po.scratch_dir);
+    po.journal = po.scratch_dir + "/sweep.journal";
+
+    ProcRunner runner(po);
+    const ProcSweepResult sweep = runner.run(items);
+    ASSERT_TRUE(sweep.ok());
+    EXPECT_EQ(sweep.spawned, items.size());
+    EXPECT_TRUE(std::filesystem::exists(po.journal));
 }
 
 TEST(ExecProc, CrashingWorkerIsQuarantinedAndClassified)

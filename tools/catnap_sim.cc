@@ -60,7 +60,7 @@ usage(int code)
         "  --loads A,B,C             sweep offered loads instead of one\n"
         "                            --load point\n"
         "  --csv FILE                save sweep results as CSV\n"
-        "%s"
+        "%s%s"
         "  --serve-stats SOCKET      print the daemon's statistics JSON\n"
         "                            and exit (no sweep)\n"
         "checkpointing (synthetic single-run mode; DESIGN.md §13):\n"
@@ -107,7 +107,7 @@ usage(int code)
         "  2 usage error             3 invalid configuration value\n"
         "  4 sweep finished with quarantined point(s)\n"
         "  5 sweep-service daemon unreachable or protocol error\n",
-        kBatchFlagsHelp);
+        kJobsFlagHelp, kBackendFlagsHelp);
     std::exit(code);
 }
 

@@ -145,12 +145,15 @@ default_worker(const char *argv0)
     return dir + "/../tools/catnap_sim";
 }
 
-/** Help text for the BatchFlags options. */
-inline constexpr const char *kBatchFlagsHelp =
+/** Help text for --jobs, the one batch flag every tool takes. */
+inline constexpr const char *kJobsFlagHelp =
     "  --jobs N                  worker threads (or worker processes)\n"
     "                            for the batch (default: one per\n"
     "                            hardware thread; output is identical\n"
-    "                            for every N)\n"
+    "                            for every N)\n";
+
+/** Help text for the batch flags that select or tune a backend. */
+inline constexpr const char *kBackendFlagsHelp =
     "  --isolate                 run each point in a supervised\n"
     "                            catnap_sim worker subprocess: crashes,\n"
     "                            hangs, and bad exits are contained,\n"
