@@ -278,24 +278,10 @@ key_hex(std::uint64_t key)
 std::uint64_t
 point_hash(const RunItem &item)
 {
-    ckpt::Fnv1a h;
-    ckpt::mix_config(h, item.cfg);
     // Domain tag "PNT1": a point identity is neither a bare-network
     // hash nor a run-checkpoint hash and must never match either.
-    h.mix_u32(0x31544e50u);
-    h.mix_i32(static_cast<std::int32_t>(item.traffic.pattern));
-    h.mix_double(item.traffic.load);
-    h.mix_i32(item.traffic.packet_bits);
-    h.mix_i32(static_cast<std::int32_t>(item.traffic.mc));
-    h.mix_bool(item.traffic.node_bursts);
-    h.mix_double(item.traffic.burst_on_fraction);
-    h.mix_double(item.traffic.burst_mean_len);
-    h.mix_u64(item.params.warmup);
-    h.mix_u64(item.params.measure);
-    h.mix_u64(item.params.drain_max);
-    h.mix_bool(item.params.voltage_scaling);
-    h.mix_u64(item.params.seed);
-    return h.value();
+    return run_config_hash(item.cfg, 0x31544e50u, item.traffic,
+                           item.params);
 }
 
 std::vector<std::uint8_t>

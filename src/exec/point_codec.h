@@ -67,10 +67,9 @@ void put_synth_result(ckpt::Writer &w, const SyntheticResult &res);
 SyntheticResult take_synth_result(ckpt::Reader &r);
 
 /**
- * The 64-bit identity of one sweep point: ckpt::mix_config over the
- * network config, a "PNT1" domain tag, then every traffic and phase
- * parameter (the same fields SyntheticRun's run-checkpoint hash
- * covers). Keys journal records and seals worker result files.
+ * The 64-bit identity of one sweep point: run_config_hash() under the
+ * "PNT1" domain tag (the same field list SyntheticRun's run-checkpoint
+ * hash covers). Keys journal records and seals worker result files.
  */
 std::uint64_t point_hash(const RunItem &item);
 

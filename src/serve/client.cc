@@ -12,7 +12,6 @@
 
 #include "exec/point_codec.h"
 #include "serve/frame.h"
-#include "serve/json.h"
 
 namespace catnap {
 namespace serve {
@@ -68,7 +67,7 @@ class Conn
     Conn &operator=(const Conn &) = delete;
 
     void
-    send_frame(const std::string &payload)
+    send_frame(const std::vector<std::uint8_t> &payload)
     {
         const std::vector<std::uint8_t> bytes = encode_frame(payload);
         std::size_t off = 0;
@@ -87,7 +86,7 @@ class Conn
 
     /** Blocks until one complete reply frame arrives. A connection cut
      * mid-reply (daemon killed) is Retryable; a framing error is not. */
-    std::string
+    std::vector<std::uint8_t>
     recv_frame()
     {
         std::vector<std::uint8_t> acc;
@@ -117,11 +116,16 @@ class Conn
     int fd_ = -1;
 };
 
-/** One request/reply round trip with whole-request retry (see @file of
- * serve/client.h for why retrying a sweep is idempotent). */
-std::string
-round_trip(const std::string &request, const ServeClientOptions &opts)
+/**
+ * One request/reply round trip with whole-request retry (see @file of
+ * serve/client.h for why retrying a sweep is idempotent). An error
+ * reply, or a reply of any kind but @p want, throws ServeError.
+ */
+ServeReply
+round_trip(const ServeRequest &req, ServeReply::Kind want,
+           const ServeClientOptions &opts)
 {
+    const std::vector<std::uint8_t> request = encode_request(req);
     const int attempts = opts.attempts > 0 ? opts.attempts : 1;
     std::string last_error;
     for (int attempt = 0; attempt < attempts; ++attempt) {
@@ -129,56 +133,29 @@ round_trip(const std::string &request, const ServeClientOptions &opts)
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(opts.retry_delay_ms));
         }
+        std::vector<std::uint8_t> payload;
         try {
             Conn conn(opts.socket_path);
             conn.send_frame(request);
-            return conn.recv_frame();
+            payload = conn.recv_frame();
         } catch (const Retryable &e) {
             last_error = e.what();
+            continue;
         }
+        ServeReply reply = decode_reply(payload);
+        if (reply.kind == ServeReply::Kind::kError)
+            throw ServeError("serve daemon: " + reply.error);
+        if (reply.kind != want) {
+            throw ServeError(
+                "serve client: expected reply kind " +
+                std::to_string(static_cast<int>(want)) + ", got " +
+                std::to_string(static_cast<int>(reply.kind)));
+        }
+        return reply;
     }
     throw ServeError("serve client: daemon unreachable after " +
                      std::to_string(attempts) + " attempt(s): " +
                      last_error);
-}
-
-/** Parses a reply, rejecting error frames and type mismatches. */
-JsonValue
-expect_reply(const std::string &payload, const std::string &want_type)
-{
-    JsonValue doc = parse_json(payload);
-    if (doc.kind != JsonValue::Kind::kObject)
-        throw ServeError("serve client: reply is not a JSON object");
-    const JsonValue *type = doc.find("type");
-    if (type == nullptr || type->kind != JsonValue::Kind::kString)
-        throw ServeError("serve client: reply has no \"type\"");
-    if (type->string == "error") {
-        const JsonValue *msg = doc.find("message");
-        throw ServeError("serve daemon: " +
-                         (msg != nullptr &&
-                                  msg->kind == JsonValue::Kind::kString
-                              ? msg->string
-                              : std::string("(no message)")));
-    }
-    if (type->string != want_type) {
-        throw ServeError("serve client: expected a \"" + want_type +
-                         "\" reply, got \"" + type->string + "\"");
-    }
-    return doc;
-}
-
-/** Reads one u64 counter member out of a stats object. */
-std::uint64_t
-stat_u64(const JsonValue &stats, const char *name)
-{
-    const JsonValue *v = stats.find(name);
-    if (v == nullptr || v->kind != JsonValue::Kind::kNumber ||
-        v->number < 0) {
-        throw ServeError(std::string("serve client: stats reply is "
-                                     "missing counter \"") +
-                         name + "\"");
-    }
-    return static_cast<std::uint64_t>(v->number);
 }
 
 } // namespace
@@ -210,32 +187,14 @@ ServedSweep
 run_batch_served(const std::vector<RunItem> &items,
                  const ServeClientOptions &opts)
 {
-    if (items.size() > kMaxPointsPerRequest) {
-        throw ServeError("serve client: " + std::to_string(items.size()) +
-                         " points exceed the per-request cap of " +
-                         std::to_string(kMaxPointsPerRequest));
-    }
-
-    std::string request = "{\"type\":\"sweep\",\"points\":[";
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        if (i != 0)
-            request += ',';
-        request += '"';
-        request += to_hex(encode_point_spec(items[i]));
-        request += '"';
-    }
-    request += "]}";
-
-    const std::string payload = round_trip(request, opts);
-    const JsonValue doc = expect_reply(payload, "results");
-    const JsonValue *points = doc.find("points");
-    if (points == nullptr || points->kind != JsonValue::Kind::kArray)
-        throw ServeError("serve client: results reply has no points");
-    if (points->items.size() != items.size()) {
+    const ServeReply reply =
+        round_trip(ServeRequest{ServeRequest::Kind::kSweep, items},
+                   ServeReply::Kind::kResults, opts);
+    if (reply.points.size() != items.size()) {
         throw ServeError("serve client: sent " +
                          std::to_string(items.size()) +
                          " points but the reply carries " +
-                         std::to_string(points->items.size()));
+                         std::to_string(reply.points.size()));
     }
 
     ServedSweep out;
@@ -243,47 +202,24 @@ run_batch_served(const std::vector<RunItem> &items,
     out.statuses.assign(items.size(), ServedStatus::kQuarantined);
     out.errors.assign(items.size(), "");
     for (std::size_t i = 0; i < items.size(); ++i) {
-        const JsonValue &p = points->items[i];
-        if (p.kind != JsonValue::Kind::kObject) {
-            throw ServeError("serve client: points[" + std::to_string(i) +
-                             "] is not an object");
-        }
-        const JsonValue *status = p.find("status");
-        if (status == nullptr || status->kind != JsonValue::Kind::kString) {
-            throw ServeError("serve client: points[" + std::to_string(i) +
-                             "] has no status");
-        }
-        if (status->string == "quarantined") {
-            const JsonValue *err = p.find("error");
-            out.statuses[i] = ServedStatus::kQuarantined;
-            out.errors[i] =
-                err != nullptr && err->kind == JsonValue::Kind::kString
-                    ? err->string
-                    : "(no reason given)";
+        const ServedPoint &p = reply.points[i];
+        out.statuses[i] = p.status;
+        switch (p.status) {
+        case ServedStatus::kQuarantined:
+            out.errors[i] = p.error;
             ++out.quarantined;
             continue;
-        }
-        if (status->string == "hit") {
-            out.statuses[i] = ServedStatus::kHit;
+        case ServedStatus::kHit:
             ++out.hits;
-        } else if (status->string == "miss") {
-            out.statuses[i] = ServedStatus::kMiss;
+            break;
+        case ServedStatus::kMiss:
             ++out.misses;
-        } else {
-            throw ServeError("serve client: points[" + std::to_string(i) +
-                             "] has unknown status \"" + status->string +
-                             "\"");
-        }
-        const JsonValue *result = p.find("result");
-        if (result == nullptr || result->kind != JsonValue::Kind::kString) {
-            throw ServeError("serve client: points[" + std::to_string(i) +
-                             "] has no result image");
+            break;
         }
         try {
             // The image is sealed under the point hash: decoding
             // validates that these bytes answer exactly items[i].
-            out.results[i] =
-                decode_point_result(items[i], from_hex(result->string));
+            out.results[i] = decode_point_result(items[i], p.image);
         } catch (const std::exception &e) {
             throw ServeError("serve client: points[" + std::to_string(i) +
                              "] (key " + key_hex(point_hash(items[i])) +
@@ -296,36 +232,17 @@ run_batch_served(const std::vector<RunItem> &items,
 ServeStats
 fetch_stats(const ServeClientOptions &opts)
 {
-    const std::string payload =
-        round_trip("{\"type\":\"stats\"}", opts);
-    const JsonValue doc = expect_reply(payload, "stats");
-    const JsonValue *stats = doc.find("stats");
-    if (stats == nullptr || stats->kind != JsonValue::Kind::kObject)
-        throw ServeError("serve client: stats reply has no counters");
-    ServeStats out;
-    out.requests = stat_u64(*stats, "requests");
-    out.points = stat_u64(*stats, "points");
-    out.hits = stat_u64(*stats, "hits");
-    out.misses = stat_u64(*stats, "misses");
-    out.quarantined = stat_u64(*stats, "quarantined");
-    out.executed = stat_u64(*stats, "executed");
-    out.batches = stat_u64(*stats, "batches");
-    out.evicted = stat_u64(*stats, "evicted");
-    out.cache_entries = stat_u64(*stats, "cache_entries");
-    out.cache_bytes = stat_u64(*stats, "cache_bytes");
-    out.restored_records = stat_u64(*stats, "restored_records");
-    out.restored_discarded_bytes =
-        stat_u64(*stats, "restored_discarded_bytes");
-    return out;
+    return round_trip(ServeRequest{ServeRequest::Kind::kStats, {}},
+                      ServeReply::Kind::kStats, opts)
+        .stats;
 }
 
 bool
 ping(const ServeClientOptions &opts)
 {
     try {
-        const std::string payload =
-            round_trip("{\"type\":\"ping\"}", opts);
-        (void)expect_reply(payload, "pong");
+        (void)round_trip(ServeRequest{ServeRequest::Kind::kPing, {}},
+                         ServeReply::Kind::kPong, opts);
         return true;
     } catch (const ServeError &) {
         return false;
@@ -335,9 +252,8 @@ ping(const ServeClientOptions &opts)
 void
 request_shutdown(const ServeClientOptions &opts)
 {
-    const std::string payload =
-        round_trip("{\"type\":\"shutdown\"}", opts);
-    (void)expect_reply(payload, "bye");
+    (void)round_trip(ServeRequest{ServeRequest::Kind::kShutdown, {}},
+                     ServeReply::Kind::kBye, opts);
 }
 
 } // namespace serve

@@ -12,8 +12,8 @@
 #include <unistd.h>
 
 #include "ckpt/archive.h"
+#include "ckpt/checkpoint.h"
 #include "exec/point_codec.h"
-#include "serve/json.h"
 
 namespace catnap {
 namespace serve {
@@ -26,24 +26,13 @@ constexpr int kAcceptPollMs = 200;
 /** Per-read chunk while reassembling frames. */
 constexpr std::size_t kReadChunk = 64 * 1024;
 
-/** Appends one "name":value JSON member (u64 value). */
-void
-put_member(std::string &out, const char *name, std::uint64_t value,
-           bool first = false)
-{
-    if (!first)
-        out += ',';
-    out += '"';
-    out += name;
-    out += "\":";
-    out += std::to_string(value);
-}
-
-std::string
+ServeReply
 error_reply(const std::string &message)
 {
-    return std::string("{\"type\":\"error\",\"message\":") +
-           json_quote(message) + "}";
+    ServeReply reply;
+    reply.kind = ServeReply::Kind::kError;
+    reply.error = message;
+    return reply;
 }
 
 /** Sends every byte of @p bytes (MSG_NOSIGNAL: a vanished client must
@@ -66,91 +55,6 @@ send_all(int fd, const std::vector<std::uint8_t> &bytes)
 }
 
 } // namespace
-
-std::string
-ServeStats::to_json() const
-{
-    // Field order is fixed: CI greps these names out of the stats file.
-    std::string out = "{";
-    put_member(out, "requests", requests, true);
-    put_member(out, "points", points);
-    put_member(out, "hits", hits);
-    put_member(out, "misses", misses);
-    put_member(out, "quarantined", quarantined);
-    put_member(out, "executed", executed);
-    put_member(out, "batches", batches);
-    put_member(out, "evicted", evicted);
-    put_member(out, "cache_entries", cache_entries);
-    put_member(out, "cache_bytes", cache_bytes);
-    put_member(out, "restored_records", restored_records);
-    put_member(out, "restored_discarded_bytes", restored_discarded_bytes);
-    out += '}';
-    return out;
-}
-
-ServeRequest
-decode_request(const std::string &payload)
-{
-    const JsonValue doc = parse_json(payload);
-    if (doc.kind != JsonValue::Kind::kObject)
-        throw ServeError("request: top level must be a JSON object");
-
-    const JsonValue *type = doc.find("type");
-    if (type == nullptr)
-        throw ServeError("request: missing \"type\" member");
-    if (type->kind != JsonValue::Kind::kString)
-        throw ServeError("request: \"type\" must be a string");
-
-    ServeRequest req;
-    if (type->string == "ping") {
-        req.kind = ServeRequest::Kind::kPing;
-        return req;
-    }
-    if (type->string == "stats") {
-        req.kind = ServeRequest::Kind::kStats;
-        return req;
-    }
-    if (type->string == "shutdown") {
-        req.kind = ServeRequest::Kind::kShutdown;
-        return req;
-    }
-    if (type->string != "sweep")
-        throw ServeError("request: unknown type \"" + type->string + "\"");
-
-    req.kind = ServeRequest::Kind::kSweep;
-    const JsonValue *points = doc.find("points");
-    if (points == nullptr)
-        throw ServeError("request: sweep is missing \"points\"");
-    if (points->kind != JsonValue::Kind::kArray)
-        throw ServeError("request: \"points\" must be an array");
-    if (points->items.size() > kMaxPointsPerRequest) {
-        throw ServeError("request: " + std::to_string(points->items.size()) +
-                         " points exceed the per-request cap of " +
-                         std::to_string(kMaxPointsPerRequest));
-    }
-    req.items.reserve(points->items.size());
-    for (std::size_t i = 0; i < points->items.size(); ++i) {
-        const JsonValue &p = points->items[i];
-        if (p.kind != JsonValue::Kind::kString) {
-            throw ServeError("request: points[" + std::to_string(i) +
-                             "] must be a hex string");
-        }
-        std::vector<std::uint8_t> image;
-        try {
-            image = from_hex(p.string);
-        } catch (const ServeError &e) {
-            throw ServeError("request: points[" + std::to_string(i) + "]: " +
-                             e.what());
-        }
-        try {
-            req.items.push_back(decode_point_spec(image));
-        } catch (const ckpt::CkptError &e) {
-            throw ServeError("request: points[" + std::to_string(i) +
-                             "]: bad spec image: " + e.what());
-        }
-    }
-    return req;
-}
 
 ServeServer::ServeServer(const ServeConfig &cfg) : cfg_(cfg)
 {
@@ -361,14 +265,15 @@ ServeServer::handle_connection(int fd)
                 break;
             if (dec.status == FrameStatus::kBad) {
                 // Unresynchronisable: answer precisely, then close.
-                send_all(fd, encode_frame(error_reply(dec.error)));
+                send_all(fd,
+                         encode_frame(encode_reply(error_reply(dec.error))));
                 open = false;
                 break;
             }
             acc.erase(acc.begin(),
                       acc.begin() + static_cast<std::ptrdiff_t>(dec.consumed));
-            const std::string reply = handle_payload(dec.payload);
-            if (!send_all(fd, encode_frame(reply))) {
+            const ServeReply reply = handle_payload(dec.payload);
+            if (!send_all(fd, encode_frame(encode_reply(reply)))) {
                 open = false;
                 break;
             }
@@ -379,8 +284,8 @@ ServeServer::handle_connection(int fd)
     conn_fds_.erase(fd);
 }
 
-std::string
-ServeServer::handle_payload(const std::string &payload)
+ServeReply
+ServeServer::handle_payload(const std::vector<std::uint8_t> &payload)
 {
     ServeRequest req;
     try {
@@ -389,25 +294,24 @@ ServeServer::handle_payload(const std::string &payload)
         return error_reply(e.what());
     }
 
+    ServeReply reply;
     switch (req.kind) {
     case ServeRequest::Kind::kPing:
-        return "{\"type\":\"pong\"}";
-    case ServeRequest::Kind::kStats: {
-        std::string body;
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            body = stats_locked().to_json();
-        }
+        reply.kind = ServeReply::Kind::kPong;
+        return reply;
+    case ServeRequest::Kind::kStats:
+        reply.kind = ServeReply::Kind::kStats;
+        reply.stats = stats();
         write_stats_file();
-        return "{\"type\":\"stats\",\"stats\":" + body + "}";
-    }
+        return reply;
     case ServeRequest::Kind::kShutdown: {
         {
             std::lock_guard<std::mutex> lock(mu_);
             shutdown_requested_ = true;
         }
         write_stats_file();
-        return "{\"type\":\"bye\"}";
+        reply.kind = ServeReply::Kind::kBye;
+        return reply;
     }
     case ServeRequest::Kind::kSweep:
         break;
@@ -420,16 +324,18 @@ ServeServer::handle_payload(const std::string &payload)
     }
 }
 
-std::string
+ServeReply
 ServeServer::handle_sweep(const std::vector<RunItem> &items)
 {
-    const std::vector<PointAnswer> answers = resolve_points(items);
+    ServeReply reply;
+    reply.kind = ServeReply::Kind::kResults;
+    reply.points = resolve_points(items);
 
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t quarantined = 0;
-    for (const PointAnswer &a : answers) {
-        switch (a.status) {
+    for (const ServedPoint &p : reply.points) {
+        switch (p.status) {
         case ServedStatus::kHit:
             ++hits;
             break;
@@ -441,62 +347,30 @@ ServeServer::handle_sweep(const std::vector<RunItem> &items)
             break;
         }
     }
-
-    std::string stats_body;
     {
         std::lock_guard<std::mutex> lock(mu_);
         stats_.requests += 1;
-        stats_.points += answers.size();
+        stats_.points += reply.points.size();
         stats_.hits += hits;
         stats_.misses += misses;
         stats_.quarantined += quarantined;
-        stats_body = stats_locked().to_json();
     }
 
     TraceEvent ev{};
     ev.kind = EventKind::kServeRequest;
-    ev.node = static_cast<NodeId>(answers.size());
+    ev.node = static_cast<NodeId>(reply.points.size());
     ev.a = static_cast<std::int32_t>(hits);
     ev.b = static_cast<std::int32_t>(misses);
     emit(ev);
 
-    std::string out = "{\"type\":\"results\",\"points\":[";
-    for (std::size_t i = 0; i < answers.size(); ++i) {
-        const PointAnswer &a = answers[i];
-        if (i != 0)
-            out += ',';
-        switch (a.status) {
-        case ServedStatus::kHit:
-            out += "{\"status\":\"hit\",\"result\":\"";
-            break;
-        case ServedStatus::kMiss:
-            out += "{\"status\":\"miss\",\"result\":\"";
-            break;
-        case ServedStatus::kQuarantined:
-            out += "{\"status\":\"quarantined\",\"error\":";
-            out += json_quote(a.error);
-            out += '}';
-            continue;
-        }
-        // The wire image is sealed under the point hash, so the client
-        // re-validates that these bytes belong to the point it sent.
-        ckpt::Reader r(a.result_payload);
-        const SyntheticResult res = take_synth_result(r);
-        out += to_hex(encode_point_result(items[i], res));
-        out += "\"}";
-    }
-    out += "],\"stats\":";
-    out += stats_body;
-    out += '}';
-
     write_stats_file();
-    return out;
+    return reply;
 }
 
-std::vector<ServeServer::PointAnswer>
+std::vector<ServedPoint>
 ServeServer::resolve_points(const std::vector<RunItem> &items)
 {
-    std::vector<PointAnswer> answers(items.size());
+    std::vector<ServedPoint> answers(items.size());
     std::vector<std::uint64_t> keys(items.size());
     for (std::size_t i = 0; i < items.size(); ++i)
         keys[i] = point_hash(items[i]);
@@ -533,16 +407,21 @@ ServeServer::resolve_points(const std::vector<RunItem> &items)
                 if (cache_->lookup(key, payload)) {
                     bool valid = true;
                     try {
-                        // Validate before serving: a corrupt record is
-                        // re-executed, never replayed.
+                        // Validate before serving: a corrupt record,
+                        // trailing bytes included, is re-executed,
+                        // never replayed.
                         ckpt::Reader r(payload);
                         (void)take_synth_result(r);
+                        r.expect_exhausted();
                     } catch (const ckpt::CkptError &) {
                         valid = false;
                     }
                     if (valid) {
+                        // Sealed under the point hash, so the client
+                        // re-validates that these bytes answer the
+                        // point it sent.
                         answers[i].status = ServedStatus::kHit;
-                        answers[i].result_payload = std::move(payload);
+                        answers[i].image = ckpt::seal(key, payload);
                         continue;
                     }
                 }
@@ -573,7 +452,7 @@ void
 ServeServer::execute_misses(const std::vector<RunItem> &items,
                             const std::vector<std::uint64_t> &keys,
                             const std::vector<std::size_t> &pending,
-                            std::vector<PointAnswer> &answers)
+                            std::vector<ServedPoint> &answers)
 {
     ExecOptions eopts;
     eopts.jobs = cfg_.exec.jobs;
@@ -599,16 +478,16 @@ ServeServer::execute_misses(const std::vector<RunItem> &items,
 void
 ServeServer::finish_point(std::uint64_t key, std::size_t slot,
                           const PointReport &rep,
-                          std::vector<PointAnswer> &answers)
+                          std::vector<ServedPoint> &answers)
 {
     // Slot @p slot is written only by this point's job.
-    PointAnswer &answer = answers[slot];
+    ServedPoint &answer = answers[slot];
     const bool ok = rep.status != PointStatus::kQuarantined;
+    ckpt::Writer result;
     if (ok) {
-        ckpt::Writer w;
-        put_synth_result(w, rep.result);
+        put_synth_result(result, rep.result);
         answer.status = ServedStatus::kMiss;
-        answer.result_payload = w.bytes();
+        answer.image = ckpt::seal(key, result.bytes());
     } else {
         answer.status = ServedStatus::kQuarantined;
         answer.error = "quarantined after " + std::to_string(rep.attempts) +
@@ -628,7 +507,7 @@ ServeServer::finish_point(std::uint64_t key, std::size_t slot,
             try {
                 // Inserted (and flushed) the moment the point finishes:
                 // a daemon killed right after this loses nothing.
-                cache_->insert(key, answer.result_payload);
+                cache_->insert(key, result.bytes());
             } catch (const ckpt::CkptError &) {
                 // Disk trouble degrades durability, never the answer.
             }

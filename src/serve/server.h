@@ -2,9 +2,9 @@
  * @file
  * catnap_serve: the long-running sweep service (DESIGN.md §17).
  *
- * The server listens on a local Unix-domain socket and answers
- * length-prefixed JSON frames (serve/frame.h). A sweep request carries
- * sealed point-spec images (exec/point_codec.h); every point is keyed
+ * The server listens on a local Unix-domain socket and answers binary
+ * frames (serve/frame.h). A sweep request carries sealed point-spec
+ * images (exec/point_codec.h); every point is keyed
  * by its 64-bit "PNT1" identity hash and answered from the persistent
  * result cache (serve/cache.h) when possible. Misses run one point per
  * SweepRunner job through one per-point executor that returns a
@@ -26,9 +26,11 @@
  *     instead of being served forever.
  *
  * Determinism contract: a result is encoded once (bit-exact doubles)
- * when its point first executes; every later response replays those
- * bytes. A warm-cache sweep is therefore byte-identical to the serial
- * in-process run while executing zero simulation points.
+ * when its point first executes; every later response seals those same
+ * cached bytes under the point hash, after checking that they decode
+ * exactly (a record that does not is re-executed, never replayed). A
+ * warm-cache sweep is therefore byte-identical to the serial in-process
+ * run while executing zero simulation points.
  */
 #ifndef CATNAP_SERVE_SERVER_H
 #define CATNAP_SERVE_SERVER_H
@@ -50,16 +52,6 @@
 
 namespace catnap {
 namespace serve {
-
-/** Cap on points per sweep request (bounds per-request allocation). */
-constexpr std::size_t kMaxPointsPerRequest = 4096;
-
-/** Where one served point's bytes came from. */
-enum class ServedStatus : std::int8_t {
-    kHit = 0,         ///< replayed from the daemon's result cache
-    kMiss = 1,        ///< executed by the daemon for this request
-    kQuarantined = 2, ///< every daemon-side attempt failed; no result
-};
 
 /** How cache misses are executed. */
 struct ServeExecPolicy
@@ -106,49 +98,6 @@ struct ServeConfig
     EventSink *sink = nullptr;
 };
 
-/** Daemon-level counters (monotonic since startup). */
-struct ServeStats
-{
-    std::uint64_t requests = 0;    ///< sweep requests answered
-    std::uint64_t points = 0;      ///< points across all sweep requests
-    std::uint64_t hits = 0;        ///< points served from the cache
-    std::uint64_t misses = 0;      ///< points executed for the requester
-    std::uint64_t quarantined = 0; ///< points answered as quarantined
-    std::uint64_t executed = 0;    ///< simulation points actually run
-    std::uint64_t batches = 0;     ///< executor jobs (one per miss)
-    std::uint64_t evicted = 0;     ///< cache entries evicted
-    std::uint64_t cache_entries = 0;
-    std::uint64_t cache_bytes = 0;
-    std::uint64_t restored_records = 0; ///< rebuilt from the cache file
-    std::uint64_t restored_discarded_bytes = 0; ///< torn tail at startup
-
-    /** Canonical JSON rendering (fixed field order). */
-    std::string to_json() const;
-};
-
-/** A decoded client request (the fuzzed trust-boundary surface). */
-struct ServeRequest
-{
-    enum class Kind : std::int8_t {
-        kSweep = 0,    ///< run/lookup a list of points
-        kStats = 1,    ///< report daemon statistics
-        kPing = 2,     ///< liveness probe
-        kShutdown = 3, ///< ask the daemon to exit cleanly
-    };
-
-    Kind kind = Kind::kPing;
-    std::vector<RunItem> items; ///< kSweep only
-};
-
-/**
- * Validates and decodes one frame payload into a request. Throws
- * ServeError with a precise message on any malformed input — bad JSON,
- * missing/mistyped fields, an unknown type, too many points, bad hex,
- * or a spec image that fails the §15 container validation. Never
- * crashes or reads out of bounds (libFuzzer-covered).
- */
-ServeRequest decode_request(const std::string &payload);
-
 /** The daemon. One instance per socket; start() spawns the accept
  * loop, stop() tears everything down (idempotent). */
 class ServeServer
@@ -175,25 +124,18 @@ class ServeServer
     ServeStats stats() const;
 
   private:
-    struct PointAnswer
-    {
-        ServedStatus status = ServedStatus::kQuarantined;
-        std::vector<std::uint8_t> result_payload; ///< synth-result bytes
-        std::string error;                        ///< quarantine reason
-    };
-
     void accept_loop();
     void handle_connection(int fd);
-    std::string handle_payload(const std::string &payload);
-    std::string handle_sweep(const std::vector<RunItem> &items);
-    std::vector<PointAnswer> resolve_points(const std::vector<RunItem> &items);
+    ServeReply handle_payload(const std::vector<std::uint8_t> &payload);
+    ServeReply handle_sweep(const std::vector<RunItem> &items);
+    std::vector<ServedPoint> resolve_points(const std::vector<RunItem> &items);
     void execute_misses(const std::vector<RunItem> &items,
                         const std::vector<std::uint64_t> &keys,
                         const std::vector<std::size_t> &pending,
-                        std::vector<PointAnswer> &answers);
+                        std::vector<ServedPoint> &answers);
     void finish_point(std::uint64_t key, std::size_t slot,
                       const PointReport &rep,
-                      std::vector<PointAnswer> &answers);
+                      std::vector<ServedPoint> &answers);
     ServeStats stats_locked() const;
     void write_stats_file();
     void emit(TraceEvent ev);

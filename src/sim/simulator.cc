@@ -160,27 +160,34 @@ SyntheticRun::deserialize_run(ckpt::Reader &r)
 }
 
 std::uint64_t
-SyntheticRun::run_hash() const
+run_config_hash(const MultiNocConfig &cfg, std::uint32_t domain,
+                const SyntheticConfig &traffic, const RunParams &params)
 {
     ckpt::Fnv1a h;
-    ckpt::mix_config(h, cfg_);
+    ckpt::mix_config(h, cfg);
+    h.mix_u32(domain);
+    h.mix_i32(static_cast<std::int32_t>(traffic.pattern));
+    h.mix_double(traffic.load);
+    h.mix_i32(traffic.packet_bits);
+    h.mix_i32(static_cast<std::int32_t>(traffic.mc));
+    h.mix_bool(traffic.node_bursts);
+    h.mix_double(traffic.burst_on_fraction);
+    h.mix_double(traffic.burst_mean_len);
+    h.mix_u64(params.warmup);
+    h.mix_u64(params.measure);
+    h.mix_u64(params.drain_max);
+    h.mix_bool(params.voltage_scaling);
+    h.mix_u64(params.seed);
+    return h.value();
+}
+
+std::uint64_t
+SyntheticRun::run_hash() const
+{
     // Domain tag "RUN1": run-level checkpoints embed harness state on
     // top of the network payload, so they must never open as (or be
     // opened by) bare-network checkpoints.
-    h.mix_u32(0x4e555231u);
-    h.mix_i32(static_cast<std::int32_t>(traffic_.pattern));
-    h.mix_double(traffic_.load);
-    h.mix_i32(traffic_.packet_bits);
-    h.mix_i32(static_cast<std::int32_t>(traffic_.mc));
-    h.mix_bool(traffic_.node_bursts);
-    h.mix_double(traffic_.burst_on_fraction);
-    h.mix_double(traffic_.burst_mean_len);
-    h.mix_u64(params_.warmup);
-    h.mix_u64(params_.measure);
-    h.mix_u64(params_.drain_max);
-    h.mix_bool(params_.voltage_scaling);
-    h.mix_u64(params_.seed);
-    return h.value();
+    return run_config_hash(cfg_, 0x4e555231u, traffic_, params_);
 }
 
 void

@@ -169,6 +169,18 @@ class SyntheticRun
 };
 
 /**
+ * The identity hash of one run: ckpt::mix_config over @p cfg, the
+ * @p domain tag, then every traffic and phase field (observability
+ * hooks excluded). SyntheticRun's checkpoint hash ("RUN1") and the
+ * sweep point hash ("PNT1", exec/point_codec.h) both use this one
+ * field list, so neither can drift from the other.
+ */
+std::uint64_t run_config_hash(const MultiNocConfig &cfg,
+                              std::uint32_t domain,
+                              const SyntheticConfig &traffic,
+                              const RunParams &params);
+
+/**
  * Runs @p net_cfg under @p traffic for the phases in @p params.
  * Deterministic for fixed seeds.
  */

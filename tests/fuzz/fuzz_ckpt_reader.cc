@@ -17,10 +17,12 @@
  *   5. serve::decode_frame(): the sweep-service frame decoder is
  *      *total* — every prefix must yield need-more/frame/bad, and a
  *      decoded frame must re-encode to the consumed bytes;
- *   6. serve::parse_json(): accepts or throws ServeError, and any
- *      accepted string value must survive a json_quote round-trip;
+ *   6. serve::decode_reply(): the client's reply decoder accepts or
+ *      throws ServeError, and an accepted reply must re-encode to
+ *      exactly the input bytes;
  *   7. serve::decode_request(): the daemon's whole trust-boundary
- *      payload path (JSON shape + hex + sealed spec validation).
+ *      payload path (message kind, point count, sealed spec
+ *      validation, exact end of message).
  *
  * Build with -fsanitize=fuzzer,address,undefined (CATNAP_FUZZ=ON,
  * Clang only — see tests/fuzz/CMakeLists.txt). Seed corpus comes from
@@ -39,8 +41,6 @@
 #include "ckpt/journal.h"
 #include "exec/point_codec.h"
 #include "serve/frame.h"
-#include "serve/json.h"
-#include "serve/server.h"
 
 using namespace catnap;
 
@@ -125,26 +125,20 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
         }
     }
 
-    const std::string text(reinterpret_cast<const char *>(data), size);
-
-    // 6. JSON parser: accept or ServeError, nothing else; any accepted
-    // string value must survive a quote/reparse round-trip.
+    // 6. Reply decoder: accept or ServeError, nothing else; decoding
+    // is exact, so an accepted reply re-encodes to the input.
     try {
-        const serve::JsonValue v = serve::parse_json(text);
-        if (v.is_string()) {
-            const serve::JsonValue rt =
-                serve::parse_json(serve::json_quote(v.string));
-            if (!rt.is_string() || rt.string != v.string)
-                __builtin_trap();
-        }
+        const serve::ServeReply reply = serve::decode_reply(bytes);
+        if (serve::encode_reply(reply) != bytes)
+            __builtin_trap();
     } catch (const serve::ServeError &) {
     }
 
     // 7. The daemon's full request-decoding path (the seed corpus's
-    // request.json carries a real sealed spec image in hex, so the
-    // fuzzer mutates past the JSON shape into the spec validation).
+    // request.bin carries a real sealed spec image, so the fuzzer
+    // mutates past the message header into the spec validation).
     try {
-        (void)serve::decode_request(text);
+        (void)serve::decode_request(bytes);
     } catch (const serve::ServeError &) {
     }
 

@@ -18,7 +18,6 @@
 #include "exec/sweep_runner.h"
 #include "noc/multinoc.h"
 #include "serve/frame.h"
-#include "serve/server.h"
 
 using namespace catnap;
 
@@ -67,17 +66,28 @@ main(int argc, char **argv)
     fields.put_string("seed corpus");
     ckpt::write_file(dir + "/fields.bin", fields.bytes());
 
-    // A real sweep request, bare (for the JSON/request surfaces) and
-    // framed (for the frame decoder): the fuzzer starts past both the
-    // request grammar and the frame magic/length gates.
-    const std::string request =
-        "{\"type\":\"sweep\",\"points\":[\"" +
-        serve::to_hex(encode_point_spec(item)) + "\"]}";
-    ckpt::write_file(dir + "/request.json",
-                     std::vector<std::uint8_t>(request.begin(),
-                                               request.end()));
-    ckpt::write_file(dir + "/request.frame", serve::encode_frame(request));
+    // A real sweep request, bare (for the request surface) and framed
+    // (for the frame decoder), and a results reply with every point
+    // status (for the reply surface): the fuzzer starts past the
+    // message kinds, counts and frame magic/length gates.
+    serve::ServeRequest request;
+    request.kind = serve::ServeRequest::Kind::kSweep;
+    request.items = {item};
+    const std::vector<std::uint8_t> request_bytes =
+        serve::encode_request(request);
+    ckpt::write_file(dir + "/request.bin", request_bytes);
+    ckpt::write_file(dir + "/request.frame",
+                     serve::encode_frame(request_bytes));
 
-    std::printf("wrote 6 seed inputs to %s\n", dir.c_str());
+    serve::ServeReply reply;
+    reply.kind = serve::ServeReply::Kind::kResults;
+    const std::vector<std::uint8_t> image = encode_point_result(item, res);
+    reply.points.push_back({serve::ServedStatus::kHit, image, ""});
+    reply.points.push_back({serve::ServedStatus::kMiss, image, ""});
+    reply.points.push_back(
+        {serve::ServedStatus::kQuarantined, {}, "quarantined after 1 attempt(s)"});
+    ckpt::write_file(dir + "/reply.bin", serve::encode_reply(reply));
+
+    std::printf("wrote 7 seed inputs to %s\n", dir.c_str());
     return 0;
 }

@@ -14,6 +14,7 @@
 #include "ckpt/archive.h"
 #include "ckpt/checkpoint.h"
 #include "ckpt/journal.h"
+#include "exec/point_codec.h"
 #include "fault/fault.h"
 #include "noc/multinoc.h"
 #include "sim/simulator.h"
@@ -197,6 +198,37 @@ TEST(CkptHash, SensitiveToEveryInterestingField)
 
     // And it is stable: equal configs hash equal.
     EXPECT_EQ(ckpt::config_hash(test_config()), h0);
+}
+
+TEST(CkptHash, PinnedValues)
+{
+    // These hashes key every on-disk cache, journal and checkpoint, so
+    // they are pinned to literals: a change to any hashed field list,
+    // domain tag or mixing order breaks every file already written and
+    // must show up here, not as silent cache misses.
+    EXPECT_EQ(ckpt::config_hash(MultiNocConfig{}), 0x1290bb0076c5d86bull);
+
+    RunItem item;
+    item.cfg = multi_noc_config(2, GatingKind::kCatnap);
+    item.cfg.fault.kill_router(100, 0, 3);
+    item.traffic.load = 0.1;
+    item.params.warmup = 200;
+    item.params.measure = 600;
+    EXPECT_EQ(point_hash(item), 0xd00017961855001dull);
+
+    const std::vector<std::uint8_t> spec = encode_point_spec(item);
+    EXPECT_EQ(ckpt::crc32(spec.data(), spec.size()), 0x894ca553u);
+
+    // The run-checkpoint hash sits at bytes 8-15 of the container.
+    TempFile f("pinned_run.ckpt");
+    SyntheticRun(item.cfg, item.traffic, item.params)
+        .save_checkpoint(f.path());
+    const std::vector<std::uint8_t> image = ckpt::read_file(f.path());
+    ASSERT_GE(image.size(), 16u);
+    std::uint64_t run_hash = 0;
+    for (int i = 0; i < 8; ++i)
+        run_hash |= static_cast<std::uint64_t>(image[8 + i]) << (8 * i);
+    EXPECT_EQ(run_hash, 0xc07cc56a9423f7c8ull);
 }
 
 // -- Container validation --------------------------------------------------

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the sweep service (src/serve/): JSON and frame codecs, the
- * persistent content-addressed result cache, and the daemon itself over
- * a real Unix-domain socket.
+ * Tests for the sweep service (src/serve/): the frame and message
+ * codecs, the persistent content-addressed result cache, and the daemon
+ * itself over a real Unix-domain socket.
  *
  * The load-bearing guarantees pinned here:
  *   - hit-after-miss byte identity: a warm-cache sweep returns exactly
@@ -35,13 +35,13 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "ckpt/checkpoint.h"
 #include "ckpt/journal.h"
 #include "exec/point_codec.h"
 #include "exec/sweep_runner.h"
 #include "serve/cache.h"
 #include "serve/client.h"
 #include "serve/frame.h"
-#include "serve/json.h"
 #include "serve/server.h"
 #include "sim/report.h"
 #include "sim/simulator.h"
@@ -51,21 +51,22 @@ namespace {
 
 using serve::CacheConfig;
 using serve::decode_frame;
+using serve::decode_reply;
 using serve::decode_request;
 using serve::encode_frame;
+using serve::encode_reply;
+using serve::encode_request;
 using serve::FrameStatus;
-using serve::from_hex;
-using serve::JsonValue;
-using serve::parse_json;
 using serve::ResultCache;
 using serve::ServeClientOptions;
 using serve::ServeConfig;
+using serve::ServedPoint;
 using serve::ServedStatus;
 using serve::ServedSweep;
 using serve::ServeError;
+using serve::ServeReply;
 using serve::ServeRequest;
 using serve::ServeServer;
-using serve::to_hex;
 
 RunParams
 quick_params()
@@ -139,76 +140,41 @@ client_options(const ServeConfig &cfg)
     return copts;
 }
 
-// ---------------------------------------------------------------------
-// JSON parser
-// ---------------------------------------------------------------------
-
-TEST(ServeJson, ParsesTheRequestGrammar)
+/** A request payload of @p kind with no body. */
+std::vector<std::uint8_t>
+bare_request(ServeRequest::Kind kind)
 {
-    const JsonValue v = parse_json(
-        " {\"type\":\"sweep\", \"points\":[\"abc\", \"\"], \"n\":-2.5e1, "
-        "\"t\":true, \"f\":false, \"z\":null} ");
-    ASSERT_TRUE(v.is_object());
-    ASSERT_NE(v.find("type"), nullptr);
-    EXPECT_EQ(v.find("type")->string, "sweep");
-    ASSERT_NE(v.find("points"), nullptr);
-    ASSERT_TRUE(v.find("points")->is_array());
-    ASSERT_EQ(v.find("points")->items.size(), 2u);
-    EXPECT_EQ(v.find("points")->items[0].string, "abc");
-    EXPECT_DOUBLE_EQ(v.find("n")->number, -25.0);
-    EXPECT_TRUE(v.find("t")->boolean);
-    EXPECT_FALSE(v.find("f")->boolean);
-    EXPECT_EQ(v.find("z")->kind, JsonValue::Kind::kNull);
-    EXPECT_EQ(v.find("missing"), nullptr);
+    return encode_request(ServeRequest{kind, {}});
 }
 
-TEST(ServeJson, DecodesEscapesAndSurrogatePairs)
+/** A sweep request payload declaring @p images as its points. */
+std::vector<std::uint8_t>
+sweep_payload(const std::vector<std::vector<std::uint8_t>> &images)
 {
-    const JsonValue v =
-        parse_json("\"a\\\"b\\\\c\\n\\t\\u0041\\ud83d\\ude00\"");
-    ASSERT_TRUE(v.is_string());
-    EXPECT_EQ(v.string, std::string("a\"b\\c\n\tA") + "\xf0\x9f\x98\x80");
+    ckpt::Writer w;
+    w.put_u8(static_cast<std::uint8_t>(ServeRequest::Kind::kSweep));
+    w.put_u32(static_cast<std::uint32_t>(images.size()));
+    for (const std::vector<std::uint8_t> &image : images)
+        w.put_string(std::string(image.begin(), image.end()));
+    return w.bytes();
 }
 
-TEST(ServeJson, RejectsMalformedDocumentsWithOffsets)
+/** Expects @p decode to throw a ServeError whose message names
+ * @p part and an offset. */
+template <typename Decode>
+void
+expect_rejected(Decode decode, const std::string &part,
+                const std::string &label)
 {
-    // Each rejection must throw ServeError (never crash) and name a
-    // byte offset so protocol errors are actionable.
-    const char *bad[] = {
-        "",            "{",         "[1,]",       "{\"a\":}",
-        "{\"a\" 1}",   "tru",       "\"\\q\"",    "\"\\ud83d\"",
-        "01x",         "1 2",       "\"unterminated",
-        "{\"a\":1,}",  "nul",       "\"ctrl\x01\"",
-    };
-    for (const char *doc : bad) {
-        try {
-            parse_json(doc);
-            FAIL() << "accepted malformed JSON: " << doc;
-        } catch (const ServeError &e) {
-            EXPECT_NE(std::string(e.what()).find("offset"),
-                      std::string::npos)
-                << "no offset in: " << e.what();
-        }
+    try {
+        decode();
+        ADD_FAILURE() << "accepted " << label;
+    } catch (const ServeError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(part), std::string::npos) << label << ": " << what;
+        EXPECT_NE(what.find("offset"), std::string::npos)
+            << label << ": " << what;
     }
-}
-
-TEST(ServeJson, RejectsExcessiveNesting)
-{
-    std::string deep;
-    for (int i = 0; i < serve::kMaxJsonDepth + 1; ++i)
-        deep += '[';
-    deep += "1";
-    for (int i = 0; i < serve::kMaxJsonDepth + 1; ++i)
-        deep += ']';
-    EXPECT_THROW(parse_json(deep), ServeError);
-}
-
-TEST(ServeJson, QuoteRoundTripsThroughParse)
-{
-    const std::string nasty = "a\"b\\c\n\x01\x1f tail";
-    const JsonValue v = parse_json(serve::json_quote(nasty));
-    ASSERT_TRUE(v.is_string());
-    EXPECT_EQ(v.string, nasty);
 }
 
 // ---------------------------------------------------------------------
@@ -217,7 +183,8 @@ TEST(ServeJson, QuoteRoundTripsThroughParse)
 
 TEST(ServeFrame, RoundTripsAndReportsConsumedBytes)
 {
-    const std::string payload = "{\"type\":\"ping\"}";
+    const std::vector<std::uint8_t> payload =
+        bare_request(ServeRequest::Kind::kPing);
     std::vector<std::uint8_t> bytes = encode_frame(payload);
     // Trailing bytes of a following frame must not confuse the decode.
     bytes.push_back(0xff);
@@ -229,7 +196,8 @@ TEST(ServeFrame, RoundTripsAndReportsConsumedBytes)
 
 TEST(ServeFrame, IncrementalDecodeNeedsEveryByte)
 {
-    const std::vector<std::uint8_t> bytes = encode_frame("hello");
+    const std::vector<std::uint8_t> bytes =
+        encode_frame({'h', 'e', 'l', 'l', 'o'});
     for (std::size_t n = 0; n < bytes.size(); ++n) {
         const auto dec = decode_frame(bytes.data(), n);
         EXPECT_EQ(dec.status, FrameStatus::kNeedMore) << "prefix " << n;
@@ -239,25 +207,20 @@ TEST(ServeFrame, IncrementalDecodeNeedsEveryByte)
 
 TEST(ServeFrame, BadMagicAndOversizeLengthAreTerminal)
 {
-    std::vector<std::uint8_t> bad = encode_frame("x");
+    std::vector<std::uint8_t> bad = encode_frame({'x'});
     bad[0] ^= 0x5a;
     EXPECT_EQ(decode_frame(bad).status, FrameStatus::kBad);
 
-    std::vector<std::uint8_t> huge = encode_frame("x");
+    // A first-generation "CSF1" frame fails at the magic, not mid-decode.
+    std::vector<std::uint8_t> stale = encode_frame({'x'});
+    stale[3] = '1';
+    EXPECT_EQ(decode_frame(stale).status, FrameStatus::kBad);
+
+    std::vector<std::uint8_t> huge = encode_frame({'x'});
     huge[4] = huge[5] = huge[6] = huge[7] = 0xff; // 4 GiB declared
     const auto dec = decode_frame(huge);
     EXPECT_EQ(dec.status, FrameStatus::kBad);
     EXPECT_NE(dec.error.find("cap"), std::string::npos);
-}
-
-TEST(ServeFrame, HexCodecRoundTripsAndRejectsGarbage)
-{
-    const std::vector<std::uint8_t> bytes = {0x00, 0x7f, 0xab, 0xff};
-    EXPECT_EQ(to_hex(bytes), "007fabff");
-    EXPECT_EQ(from_hex("007fABff"), bytes);
-    EXPECT_THROW(from_hex("abc"), ServeError);   // odd length
-    EXPECT_THROW(from_hex("zz"), ServeError);    // bad digit
-    EXPECT_TRUE(from_hex("").empty());
 }
 
 // ---------------------------------------------------------------------
@@ -266,64 +229,173 @@ TEST(ServeFrame, HexCodecRoundTripsAndRejectsGarbage)
 
 TEST(ServeRequestDecode, DecodesEveryRequestKind)
 {
-    EXPECT_EQ(decode_request("{\"type\":\"ping\"}").kind,
+    EXPECT_EQ(decode_request(bare_request(ServeRequest::Kind::kPing)).kind,
               ServeRequest::Kind::kPing);
-    EXPECT_EQ(decode_request("{\"type\":\"stats\"}").kind,
+    EXPECT_EQ(decode_request(bare_request(ServeRequest::Kind::kStats)).kind,
               ServeRequest::Kind::kStats);
-    EXPECT_EQ(decode_request("{\"type\":\"shutdown\"}").kind,
-              ServeRequest::Kind::kShutdown);
+    EXPECT_EQ(
+        decode_request(bare_request(ServeRequest::Kind::kShutdown)).kind,
+        ServeRequest::Kind::kShutdown);
 
-    const auto items = serve_items({0.02});
-    const std::string req = "{\"type\":\"sweep\",\"points\":[\"" +
-                            to_hex(encode_point_spec(items[0])) + "\"]}";
-    const ServeRequest sweep = decode_request(req);
+    const auto items = serve_items({0.02, 0.05});
+    // The wire layout, written out by hand rather than by
+    // encode_request(), so the decoder is checked against the format.
+    const ServeRequest sweep = decode_request(
+        sweep_payload({encode_point_spec(items[0]),
+                       encode_point_spec(items[1])}));
     EXPECT_EQ(sweep.kind, ServeRequest::Kind::kSweep);
-    ASSERT_EQ(sweep.items.size(), 1u);
+    ASSERT_EQ(sweep.items.size(), 2u);
     EXPECT_EQ(point_hash(sweep.items[0]), point_hash(items[0]));
+    EXPECT_EQ(point_hash(sweep.items[1]), point_hash(items[1]));
+
+    ServeRequest req;
+    req.kind = ServeRequest::Kind::kSweep;
+    req.items = items;
+    EXPECT_EQ(encode_request(req), sweep_payload({encode_point_spec(items[0]),
+                                                  encode_point_spec(items[1])}));
 }
 
 TEST(ServeRequestDecode, RejectsMalformedRequestsPrecisely)
 {
-    const char *bad[] = {
-        "[]",                                  // not an object
-        "{}",                                  // no type
-        "{\"type\":7}",                        // type not a string
-        "{\"type\":\"nope\"}",                 // unknown type
-        "{\"type\":\"sweep\"}",                // no points
-        "{\"type\":\"sweep\",\"points\":7}",   // points not an array
-        "{\"type\":\"sweep\",\"points\":[7]}", // point not a string
-        "{\"type\":\"sweep\",\"points\":[\"zz\"]}",   // bad hex
-        "{\"type\":\"sweep\",\"points\":[\"abcd\"]}", // bad spec image
+    const std::vector<std::uint8_t> spec =
+        encode_point_spec(serve_items({0.02})[0]);
+
+    const std::vector<std::uint8_t> truncated_count = {0, 1, 0};
+
+    // Declares a 300-byte image but carries only 3 bytes.
+    ckpt::Writer short_image;
+    short_image.put_u8(0);
+    short_image.put_u32(1);
+    short_image.put_u64(300);
+    short_image.put_u8(1);
+    short_image.put_u8(2);
+    short_image.put_u8(3);
+
+    std::vector<std::uint8_t> trailing =
+        bare_request(ServeRequest::Kind::kPing);
+    trailing.push_back(0x00);
+    std::vector<std::uint8_t> sweep_trailing = sweep_payload({spec});
+    sweep_trailing.push_back(0x00);
+
+    const struct
+    {
+        std::vector<std::uint8_t> payload;
+        const char *part;
+        const char *label;
+    } bad[] = {
+        {{}, "kind", "an empty payload"},
+        {{7}, "kind", "an unknown kind"},
+        {{16}, "kind", "a reply kind sent as a request"},
+        {truncated_count, "count", "a truncated point count"},
+        {short_image.bytes(), "points[0]", "a truncated image"},
+        {sweep_payload({{'a', 'b', 'c', 'd'}}), "points[0]",
+         "a non-spec image"},
+        {trailing, "end of message", "a ping with a trailing byte"},
+        {sweep_trailing, "end of message", "a sweep with a trailing byte"},
     };
-    for (const char *req : bad)
-        EXPECT_THROW(decode_request(req), ServeError) << req;
+    for (const auto &c : bad) {
+        expect_rejected([&] { (void)decode_request(c.payload); }, c.part,
+                        c.label);
+    }
 }
 
 TEST(ServeRequestDecode, RejectsOversizePointLists)
 {
-    std::string req = "{\"type\":\"sweep\",\"points\":[";
-    for (std::size_t i = 0; i <= serve::kMaxPointsPerRequest; ++i) {
-        if (i != 0)
-            req += ',';
-        req += "\"\"";
-    }
-    req += "]}";
+    // Only the count is sent: the cap must be checked before anything
+    // is reserved or read for the declared points.
+    ckpt::Writer w;
+    w.put_u8(static_cast<std::uint8_t>(ServeRequest::Kind::kSweep));
+    w.put_u32(static_cast<std::uint32_t>(serve::kMaxPointsPerRequest + 1));
     try {
-        decode_request(req);
+        decode_request(w.bytes());
         FAIL() << "accepted an oversize point list";
     } catch (const ServeError &e) {
         EXPECT_NE(std::string(e.what()).find("cap"), std::string::npos);
     }
+
+    ServeRequest req;
+    req.kind = ServeRequest::Kind::kSweep;
+    req.items = serve_items(
+        std::vector<double>(serve::kMaxPointsPerRequest + 1, 0.02));
+    EXPECT_THROW(encode_request(req), ServeError);
 }
 
 TEST(ServeRequestDecode, RejectsTamperedSpecImages)
 {
-    const auto items = serve_items({0.02});
-    std::vector<std::uint8_t> image = encode_point_spec(items[0]);
+    const auto items = serve_items({0.02, 0.05});
+    std::vector<std::uint8_t> image = encode_point_spec(items[1]);
     image[image.size() / 2] ^= 0x01;
-    const std::string req = "{\"type\":\"sweep\",\"points\":[\"" +
-                            to_hex(image) + "\"]}";
-    EXPECT_THROW(decode_request(req), ServeError);
+    expect_rejected(
+        [&] {
+            (void)decode_request(
+                sweep_payload({encode_point_spec(items[0]), image}));
+        },
+        "points[1]", "a bit-flipped spec image");
+}
+
+TEST(ServeReplyDecode, RoundTripsEveryReplyKind)
+{
+    ServeReply results;
+    results.kind = ServeReply::Kind::kResults;
+    results.points.push_back({ServedStatus::kHit, {1, 2, 3}, ""});
+    results.points.push_back({ServedStatus::kMiss, {4}, ""});
+    results.points.push_back({ServedStatus::kQuarantined, {}, "why"});
+    const ServeReply got = decode_reply(encode_reply(results));
+    EXPECT_EQ(got.kind, ServeReply::Kind::kResults);
+    ASSERT_EQ(got.points.size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(got.points[i].status, results.points[i].status);
+        EXPECT_EQ(got.points[i].image, results.points[i].image);
+        EXPECT_EQ(got.points[i].error, results.points[i].error);
+    }
+
+    ServeReply stats;
+    stats.kind = ServeReply::Kind::kStats;
+    std::uint64_t next = 1;
+    serve::ServeStats::for_each(stats.stats,
+                                [&](const char *, std::uint64_t &v) {
+                                    v = next++;
+                                });
+    EXPECT_EQ(stats.stats.restored_discarded_bytes, 12u);
+    EXPECT_EQ(decode_reply(encode_reply(stats)).stats, stats.stats);
+
+    ServeReply error;
+    error.kind = ServeReply::Kind::kError;
+    error.error = "nope";
+    EXPECT_EQ(decode_reply(encode_reply(error)).error, "nope");
+
+    for (const ServeReply::Kind kind :
+         {ServeReply::Kind::kPong, ServeReply::Kind::kBye}) {
+        ServeReply bare;
+        bare.kind = kind;
+        EXPECT_EQ(encode_reply(bare).size(), 1u);
+        EXPECT_EQ(decode_reply(encode_reply(bare)).kind, kind);
+    }
+}
+
+TEST(ServeReplyDecode, RejectsMalformedReplies)
+{
+    ServeReply results;
+    results.kind = ServeReply::Kind::kResults;
+    results.points.push_back({ServedStatus::kHit, {1, 2, 3}, ""});
+    std::vector<std::uint8_t> bad_status = encode_reply(results);
+    bad_status[5] = 9; // the first point's status byte
+    std::vector<std::uint8_t> truncated = encode_reply(results);
+    truncated.pop_back();
+
+    ServeReply stats;
+    stats.kind = ServeReply::Kind::kStats;
+    std::vector<std::uint8_t> short_stats = encode_reply(stats);
+    short_stats.resize(short_stats.size() - 8);
+
+    expect_rejected([] { (void)decode_reply({0}); }, "kind",
+                    "a request kind sent as a reply");
+    expect_rejected([&] { (void)decode_reply(bad_status); }, "points[0]",
+                    "an unknown point status");
+    expect_rejected([&] { (void)decode_reply(truncated); }, "points[0]",
+                    "a truncated image");
+    expect_rejected([&] { (void)decode_reply(short_stats); },
+                    "stats.restored_discarded_bytes", "a truncated stats reply");
 }
 
 // ---------------------------------------------------------------------
@@ -517,6 +589,35 @@ TEST(ServeServer, RestartRebuildsFromTornCacheAndServesHits)
     EXPECT_EQ(to_csv(warm.merged()), cold_csv);
     EXPECT_EQ(second.stats().executed, 0u);
     second.stop();
+}
+
+TEST(ServeServer, CacheRecordWithTrailingBytesIsReexecuted)
+{
+    const std::string dir = fresh_dir("trail");
+    const ServeConfig cfg = server_config(dir);
+    const auto items = serve_items({0.02});
+    const std::vector<SyntheticResult> serial = run_batch(items);
+
+    // A record under the point's own key holding a valid result plus
+    // one stray byte: a corrupt record, so it must not be replayed.
+    ckpt::Writer w;
+    put_synth_result(w, serial[0]);
+    std::vector<std::uint8_t> payload = w.bytes();
+    payload.push_back(0x00);
+    std::vector<std::uint8_t> file;
+    ckpt::append_record(file, point_hash(items[0]), payload);
+    ckpt::write_file(cfg.cache.path, file);
+
+    ServeServer server(cfg);
+    server.start();
+    EXPECT_EQ(server.stats().restored_records, 1u);
+    const ServedSweep got =
+        serve::run_batch_served(items, client_options(cfg));
+    ASSERT_EQ(got.statuses.size(), 1u);
+    EXPECT_EQ(got.statuses[0], ServedStatus::kMiss);
+    EXPECT_EQ(server.stats().executed, 1u);
+    EXPECT_EQ(to_csv(got.merged()), to_csv(serial));
+    server.stop();
 }
 
 TEST(ServeServer, ConcurrentClientsSingleFlightEachPointOnce)
@@ -834,6 +935,36 @@ TEST(ServeServer, StatsPingAndShutdownRequests)
     EXPECT_FALSE(serve::ping(ServeClientOptions{cfg.socket_path, 1, 10}));
 }
 
+TEST(ServeServer, StatsSurviveTheWire)
+{
+    const ServeConfig cfg = server_config(fresh_dir("wirestats"));
+    ServeServer server(cfg);
+    server.start();
+
+    // Two passes: a miss, a hit, and a quarantined point each time.
+    const auto items = good_and_throwing_items();
+    (void)serve::run_batch_served(items, client_options(cfg));
+    const ServedSweep second =
+        serve::run_batch_served(items, client_options(cfg));
+    EXPECT_EQ(second.hits, 1u);
+    EXPECT_EQ(second.quarantined, 1u);
+
+    // The in-process snapshot is the oracle; it never touches the wire.
+    const serve::ServeStats local = server.stats();
+    EXPECT_EQ(serve::fetch_stats(client_options(cfg)), local)
+        << "wire: " << serve::fetch_stats(client_options(cfg)).to_json()
+        << "\nlocal: " << local.to_json();
+    EXPECT_EQ(local.requests, 2u);
+    EXPECT_EQ(local.points, 4u);
+    EXPECT_EQ(local.hits, 1u);
+    EXPECT_EQ(local.misses, 1u);
+    EXPECT_EQ(local.quarantined, 2u);
+    EXPECT_EQ(local.executed, 3u);
+    EXPECT_EQ(local.cache_entries, 1u);
+    EXPECT_GT(local.cache_bytes, 0u);
+    server.stop();
+}
+
 // ---------------------------------------------------------------------
 // Malformed traffic against a live server
 // ---------------------------------------------------------------------
@@ -863,7 +994,7 @@ class RawConn
     }
 
     /** Reads one reply frame (empty payload on EOF). */
-    std::string
+    std::vector<std::uint8_t>
     recv_reply()
     {
         std::vector<std::uint8_t> acc;
@@ -873,10 +1004,10 @@ class RawConn
             if (dec.status == FrameStatus::kFrame)
                 return dec.payload;
             if (dec.status == FrameStatus::kBad)
-                return "";
+                return {};
             const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
             if (n <= 0)
-                return "";
+                return {};
             acc.insert(acc.end(), chunk, chunk + n);
         }
     }
@@ -901,14 +1032,16 @@ TEST(ServeServer, MalformedFrameGetsErrorReplyThenClose)
 
     RawConn conn(cfg.socket_path);
     conn.send_bytes({'n', 'o', 'p', 'e', 0, 0, 0, 0});
-    const std::string reply = conn.recv_reply();
-    EXPECT_NE(reply.find("\"type\":\"error\""), std::string::npos);
-    EXPECT_NE(reply.find("magic"), std::string::npos);
+    const ServeReply reply = decode_reply(conn.recv_reply());
+    EXPECT_EQ(reply.kind, ServeReply::Kind::kError);
+    EXPECT_NE(reply.error.find("magic"), std::string::npos);
     // Framing errors cannot be resynchronised: the server closes.
     EXPECT_TRUE(conn.at_eof());
     server.stop();
 }
 
+// A well-framed payload that fails to decode is answered with an error
+// reply; the framing stays intact, so the connection survives.
 TEST(ServeServer, MalformedJsonGetsErrorReplyAndConnectionSurvives)
 {
     const std::string dir = fresh_dir("badjson");
@@ -917,15 +1050,15 @@ TEST(ServeServer, MalformedJsonGetsErrorReplyAndConnectionSurvives)
     server.start();
 
     RawConn conn(cfg.socket_path);
-    conn.send_bytes(encode_frame("{\"type\":"));
-    const std::string err = conn.recv_reply();
-    EXPECT_NE(err.find("\"type\":\"error\""), std::string::npos);
-    EXPECT_NE(err.find("offset"), std::string::npos);
+    conn.send_bytes(encode_frame({0, 1, 0})); // a truncated point count
+    const ServeReply err = decode_reply(conn.recv_reply());
+    EXPECT_EQ(err.kind, ServeReply::Kind::kError);
+    EXPECT_NE(err.error.find("count at offset 1"), std::string::npos)
+        << err.error;
 
     // The framing stayed intact, so the connection is still usable.
-    conn.send_bytes(encode_frame("{\"type\":\"ping\"}"));
-    EXPECT_NE(conn.recv_reply().find("\"type\":\"pong\""),
-              std::string::npos);
+    conn.send_bytes(encode_frame(bare_request(ServeRequest::Kind::kPing)));
+    EXPECT_EQ(decode_reply(conn.recv_reply()).kind, ServeReply::Kind::kPong);
     server.stop();
 }
 
@@ -937,11 +1070,10 @@ TEST(ServeServer, BadRequestShapeGetsPreciseError)
     server.start();
 
     RawConn conn(cfg.socket_path);
-    conn.send_bytes(
-        encode_frame("{\"type\":\"sweep\",\"points\":[\"zz\"]}"));
-    const std::string err = conn.recv_reply();
-    EXPECT_NE(err.find("\"type\":\"error\""), std::string::npos);
-    EXPECT_NE(err.find("points[0]"), std::string::npos);
+    conn.send_bytes(encode_frame(sweep_payload({{'z', 'z'}})));
+    const ServeReply err = decode_reply(conn.recv_reply());
+    EXPECT_EQ(err.kind, ServeReply::Kind::kError);
+    EXPECT_NE(err.error.find("points[0]"), std::string::npos) << err.error;
     server.stop();
 }
 
