@@ -41,9 +41,9 @@ namespace catnap::bench {
 /**
  * Warm-up length shared by every synthetic sweep harness. One constant,
  * not per-harness literals: the value flows into RunParams::warmup and
- * from there into the run-level checkpoint config hash (DESIGN.md §13),
- * so a warm state saved under one warm-up length can never be restored
- * under another.
+ * from there into every point's identity hash (point_hash(),
+ * DESIGN.md §15), so journal and cache records of one warm-up length
+ * never replay under another.
  */
 inline constexpr Cycle kSweepWarmup = 1500;
 

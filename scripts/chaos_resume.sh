@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Chaos drill for the crash-isolated sweep backend (DESIGN.md §15):
-# run the Figure 10 sweep under --isolate, SIGKILL a worker mid-point,
-# then SIGKILL the supervisor itself mid-sweep, resume from the journal,
-# and require the merged CSV to be bit-for-bit identical to an
-# uninterrupted serial in-process run. A second leg checks that
-# permanent failures produce a deterministic quarantine report.
+# Chaos drill for the sweep journal (DESIGN.md §15): run the Figure 10
+# sweep under --isolate, SIGKILL a worker mid-point, then SIGKILL the
+# supervisor itself mid-sweep, resume from the journal, and require the
+# merged CSV to be bit-for-bit identical to an uninterrupted serial
+# in-process run. The in-process leg SIGKILLs a --jobs 4 in-process
+# sweep mid-way, resumes it, and requires its CSV to equal
+# results/golden/fig10.csv. A last leg checks that permanent failures
+# produce a deterministic quarantine report.
 #
 # Usage: scripts/chaos_resume.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -20,7 +22,8 @@ WORK="$(mktemp -d chaos_resume.XXXXXX)"
 trap 'rm -rf "$WORK"' EXIT
 JOURNAL="$WORK/fig10.journal"
 
-journal_bytes() { stat -c %s "$JOURNAL" 2>/dev/null || echo 0; }
+file_bytes() { stat -c %s "$1" 2>/dev/null || echo 0; }
+journal_bytes() { file_bytes "$JOURNAL"; }
 
 echo "== leg 1: uninterrupted serial baseline =="
 "$FIG10" --jobs 1 --csv "$WORK/baseline.csv" > /dev/null
@@ -80,7 +83,35 @@ cmp "$WORK/baseline.csv" "$WORK/resumed.csv" ||
   { echo "error: resumed CSV differs from uninterrupted baseline" >&2; exit 1; }
 echo "resumed CSV is bit-for-bit identical to the serial baseline"
 
-echo "== leg 4: quarantine report is deterministic =="
+echo "== leg 4: in-process sweep, SIGKILL it mid-sweep, resume =="
+IJOURNAL="$WORK/inproc.journal"
+"$FIG10" --jobs 4 --journal "$IJOURNAL" --csv "$WORK/inproc_interrupted.csv" \
+  > /dev/null 2>&1 &
+RUN=$!
+for _ in $(seq 1 300); do
+  [ "$(file_bytes "$IJOURNAL")" -gt 0 ] && break
+  kill -0 "$RUN" 2>/dev/null || { echo "error: sweep died early" >&2; exit 1; }
+  sleep 0.05
+done
+kill -KILL "$RUN" 2>/dev/null || true
+wait "$RUN" 2>/dev/null || true
+echo "killed in-process sweep with $(file_bytes "$IJOURNAL") journal bytes"
+[ ! -f "$WORK/inproc_interrupted.csv" ] ||
+  { echo "error: in-process run was not actually interrupted" >&2; exit 1; }
+"$FIG10" --jobs 4 --resume --journal "$IJOURNAL" \
+  --csv "$WORK/inproc_resumed.csv" > /dev/null 2> "$WORK/inproc.stderr"
+grep -o '[0-9]* point(s) executed, [0-9]* point(s) from journal' \
+  "$WORK/inproc.stderr" ||
+  { echo "error: no journal status line on resume" >&2; exit 1; }
+REPLAYED="$(grep -o '[0-9]* point(s) from journal' "$WORK/inproc.stderr" |
+            grep -o '^[0-9]*')"
+[ "$REPLAYED" -gt 0 ] ||
+  { echo "error: resume replayed nothing from the journal" >&2; exit 1; }
+cmp results/golden/fig10.csv "$WORK/inproc_resumed.csv" ||
+  { echo "error: resumed CSV differs from results/golden/fig10.csv" >&2; exit 1; }
+echo "resumed in-process CSV is bit-for-bit identical to the golden"
+
+echo "== leg 5: quarantine report is deterministic =="
 QARGS=(--subnets 2 --gating catnap --loads 0.05,0.10 --warmup 200
        --measure 600 --isolate --worker /bin/false
        --scratch "$WORK/qscratch" --point-retries 1)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ckpt/archive.h"
 #include "common/log.h"
 
 namespace catnap {
@@ -105,34 +104,6 @@ CoreModel::complete_miss()
     // entry is the common case and a safe approximation otherwise.
     if (!miss_issue_points_.empty())
         miss_issue_points_.pop_front();
-}
-
-CATNAP_PHASE_READ void
-CoreModel::Serialize(ckpt::Writer &w) const
-{
-    rng_.Serialize(w);
-    w.put_u64(retired_);
-    w.put_i32(outstanding_);
-    w.put_u64(gap_);
-    w.put_u64(miss_issue_points_.size());
-    for (std::uint64_t p : miss_issue_points_)
-        w.put_u64(p);
-    w.put_bool(quiet_);
-    w.put_u64(phase_end_);
-}
-
-CATNAP_PHASE_WRITE void
-CoreModel::Deserialize(ckpt::Reader &r)
-{
-    rng_.Deserialize(r);
-    retired_ = r.take_u64();
-    outstanding_ = r.take_i32();
-    gap_ = r.take_u64();
-    miss_issue_points_.resize(static_cast<std::size_t>(r.take_u64()));
-    for (std::uint64_t &p : miss_issue_points_)
-        p = r.take_u64();
-    quiet_ = r.take_bool();
-    phase_end_ = r.take_u64();
 }
 
 } // namespace catnap

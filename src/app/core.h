@@ -17,7 +17,6 @@
 #include <deque>
 
 #include "app/workload.h"
-#include "ckpt/fwd.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "common/phase.h"
@@ -66,16 +65,6 @@ class CoreModel
     const BenchmarkProfile &profile() const { return profile_; }
 
     CoreId id() const { return id_; }
-
-    // -- Checkpointing (src/ckpt; DESIGN.md §13) ---------------------------
-
-    /** Appends the core's evolving state (RNG, retirement progress,
-     * outstanding misses, phase machine). */
-    CATNAP_COLD_PATH CATNAP_PHASE_READ void Serialize(ckpt::Writer &w) const;
-
-    /** Restores what Serialize() wrote into an identically configured
-     * core. */
-    CATNAP_COLD_PATH CATNAP_PHASE_WRITE void Deserialize(ckpt::Reader &r);
 
   private:
     CATNAP_PHASE_WRITE void enter_phase(Cycle now, bool quiet);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ckpt/codec.h"
 #include "common/log.h"
 #include "sim/simulator.h"
 
@@ -287,65 +286,6 @@ run_app_workload(const MultiNocConfig &net_cfg, const WorkloadMix &mix,
     res.power = meter.report();
     res.power_static = meter.report_static();
     return res;
-}
-
-CATNAP_PHASE_READ void
-CmpSystem::Serialize(ckpt::Writer &w) const
-{
-    net_->Serialize(w);
-
-    w.put_u64(cores_.size());
-    for (const auto &core : cores_)
-        core->Serialize(w);
-
-    w.put_u64(mc_next_free_.size());
-    for (Cycle c : mc_next_free_)
-        w.put_u64(c);
-
-    rng_.Serialize(w);
-    w.put_u64(next_pkt_);
-    w.put_u64(misses_issued_);
-    w.put_u64(misses_completed_);
-
-    // priority_queue has no iteration: drain a copy. Heap pop order is
-    // deterministic for a given push history, so the bytes are stable.
-    std::priority_queue<DeferredSend, std::vector<DeferredSend>,
-                        std::greater<>> copy = pending_;
-    w.put_u64(copy.size());
-    while (!copy.empty()) {
-        const DeferredSend &d = copy.top();
-        w.put_u64(d.ready);
-        ckpt::put_packet(w, d.pkt);
-        copy.pop();
-    }
-}
-
-CATNAP_PHASE_WRITE void
-CmpSystem::Deserialize(ckpt::Reader &r)
-{
-    net_->Deserialize(r);
-
-    ckpt::take_count_exact(r, cores_.size(), "core model");
-    for (auto &core : cores_)
-        core->Deserialize(r);
-
-    ckpt::take_count_exact(r, mc_next_free_.size(), "MC service clock");
-    for (Cycle &c : mc_next_free_)
-        c = r.take_u64();
-
-    rng_.Deserialize(r);
-    next_pkt_ = r.take_u64();
-    misses_issued_ = r.take_u64();
-    misses_completed_ = r.take_u64();
-
-    pending_ = {};
-    const std::uint64_t num_pending = r.take_u64();
-    for (std::uint64_t i = 0; i < num_pending; ++i) {
-        DeferredSend d;
-        d.ready = r.take_u64();
-        d.pkt = ckpt::take_packet(r);
-        pending_.push(d);
-    }
 }
 
 } // namespace catnap

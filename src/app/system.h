@@ -120,20 +120,6 @@ class CmpSystem
     std::uint64_t misses_issued() const { return misses_issued_; }
     std::uint64_t misses_completed() const { return misses_completed_; }
 
-    // -- Checkpointing (src/ckpt; DESIGN.md §13) ---------------------------
-
-    /**
-     * Appends the full closed-loop system state: the embedded MultiNoc,
-     * every core, MC service clocks, the protocol RNG, packet-id/miss
-     * counters, and the deferred-send queue. MC placement and packet
-     * sinks are wiring, rebuilt by the constructor on restore.
-     */
-    CATNAP_COLD_PATH CATNAP_PHASE_READ void Serialize(ckpt::Writer &w) const;
-
-    /** Restores what Serialize() wrote into a system constructed from
-     * the identical config/mix/params. */
-    CATNAP_COLD_PATH CATNAP_PHASE_WRITE void Deserialize(ckpt::Reader &r);
-
   private:
     /** Message kinds carried in the packet user tag. */
     enum class Kind : std::uint8_t {
@@ -163,8 +149,7 @@ class CmpSystem
         Cycle ready;
         PacketDesc pkt;
         /** Total order (packet ids are unique): heap pop order is then a
-         * pure function of the queue's contents, which checkpointing
-         * relies on to rebuild the queue with identical behaviour. */
+         * pure function of the queue's contents. */
         bool
         operator>(const DeferredSend &o) const
         {

@@ -1,6 +1,5 @@
 #include "catnap/congestion.h"
 
-#include "ckpt/codec.h"
 #include "common/log.h"
 #include "noc/nic.h"
 #include "noc/router.h"
@@ -171,40 +170,6 @@ CongestionState::glitch_rcs_for_fault(int region, SubnetId s, Cycle now)
         sink_->on_event({now,
                          flipped ? EventKind::kRcsSet : EventKind::kRcsClear,
                          region, s, 0, 0, 0});
-}
-
-CATNAP_PHASE_READ void
-CongestionState::Serialize(ckpt::Writer &w) const
-{
-    w.put_u64(samples_.size());
-    for (const NodeSample &ns : samples_) {
-        w.put_u64(ns.last_injected_pkts);
-        w.put_u64(ns.last_block_cycles);
-        w.put_u64(ns.last_switched);
-        w.put_double(ns.last_window_value);
-        w.put_u64(ns.lcs_set_until);
-    }
-    ckpt::put_vec_bool(w, lcs_);
-    ckpt::put_vec_bool(w, rcs_latched_);
-    w.put_u64(rcs_transitions_);
-    w.put_u64(rcs_latch_events_);
-}
-
-CATNAP_PHASE_WRITE void
-CongestionState::Deserialize(ckpt::Reader &r)
-{
-    ckpt::take_count_exact(r, samples_.size(), "congestion node sample");
-    for (NodeSample &ns : samples_) {
-        ns.last_injected_pkts = r.take_u64();
-        ns.last_block_cycles = r.take_u64();
-        ns.last_switched = r.take_u64();
-        ns.last_window_value = r.take_double();
-        ns.lcs_set_until = r.take_u64();
-    }
-    ckpt::take_vec_bool_exact(r, lcs_, "LCS bit");
-    ckpt::take_vec_bool_exact(r, rcs_latched_, "latched RCS bit");
-    rcs_transitions_ = r.take_u64();
-    rcs_latch_events_ = r.take_u64();
 }
 
 } // namespace catnap

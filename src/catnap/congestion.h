@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ckpt/fwd.h"
 #include "common/phase.h"
 #include "common/types.h"
 #include "obs/event.h"
@@ -159,20 +158,6 @@ class CongestionState
 
     /** The configuration in use. */
     const CongestionConfig &config() const { return cfg_; }
-
-    // -- Checkpointing (src/ckpt; DESIGN.md §13) ---------------------------
-
-    /**
-     * Appends the evolving detector state (window bookkeeping, LCS
-     * hysteresis, latched RCS bits, transition counters). Router/NI
-     * attachments are wiring and are re-established by the MultiNoc
-     * constructor on restore.
-     */
-    CATNAP_COLD_PATH CATNAP_PHASE_READ void Serialize(ckpt::Writer &w) const;
-
-    /** Restores what Serialize() wrote into an identically shaped
-     * detector. */
-    CATNAP_COLD_PATH CATNAP_PHASE_WRITE void Deserialize(ckpt::Reader &r);
 
   private:
     struct NodeSample

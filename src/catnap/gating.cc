@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "catnap/congestion.h"
-#include "ckpt/archive.h"
 #include "common/log.h"
 #include "fault/wake_fault.h"
 #include "noc/router.h"
@@ -234,34 +233,6 @@ make_gating_policy(GatingKind kind, const ConcentratedMesh &mesh,
         return std::make_unique<FinePortGatingPolicy>();
     }
     CATNAP_PANIC("unknown gating kind");
-}
-
-CATNAP_PHASE_READ void
-GatingPolicy::Serialize(ckpt::Writer &w) const
-{
-    w.put_u64(retry_.size());
-    for (const std::vector<WakeRetryState> &per_subnet : retry_) {
-        w.put_u64(per_subnet.size());
-        for (const WakeRetryState &s : per_subnet) {
-            w.put_u64(s.pending_since);
-            w.put_u64(s.next_check);
-            w.put_i32(s.retries);
-        }
-    }
-}
-
-CATNAP_PHASE_WRITE void
-GatingPolicy::Deserialize(ckpt::Reader &r)
-{
-    retry_.resize(static_cast<std::size_t>(r.take_u64()));
-    for (std::vector<WakeRetryState> &per_subnet : retry_) {
-        per_subnet.resize(static_cast<std::size_t>(r.take_u64()));
-        for (WakeRetryState &s : per_subnet) {
-            s.pending_since = r.take_u64();
-            s.next_check = r.take_u64();
-            s.retries = r.take_i32();
-        }
-    }
 }
 
 } // namespace catnap

@@ -14,7 +14,6 @@
 #include <memory>
 #include <vector>
 
-#include "ckpt/fwd.h"
 #include "common/phase.h"
 #include "common/types.h"
 
@@ -92,19 +91,6 @@ class GatingPolicy
      * visibility for the model checker's state vector and for tests.
      */
     const WakeRetryState &retry_state(SubnetId s, NodeId n) const;
-
-    // -- Checkpointing (src/ckpt; DESIGN.md §13) ---------------------------
-
-    /**
-     * Appends the wake-retry bookkeeping (the only state a policy
-     * evolves; the retry table is lazily allocated, so its exact shape
-     * is serialized). Router attachments and the fault model are wiring,
-     * rebuilt by the MultiNoc constructor on restore.
-     */
-    CATNAP_COLD_PATH CATNAP_PHASE_READ void Serialize(ckpt::Writer &w) const;
-
-    /** Restores what Serialize() wrote. */
-    CATNAP_COLD_PATH CATNAP_PHASE_WRITE void Deserialize(ckpt::Reader &r);
 
   protected:
     /** Services wake requests for every attached router. */

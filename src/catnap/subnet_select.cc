@@ -1,7 +1,6 @@
 #include "catnap/subnet_select.h"
 
 #include "catnap/congestion.h"
-#include "ckpt/codec.h"
 #include "common/log.h"
 
 namespace catnap {
@@ -176,42 +175,6 @@ make_selector(SelectorKind kind, int num_nodes, int num_subnets,
         return std::make_unique<ClassPartitionSelector>(num_subnets);
     }
     CATNAP_PANIC("unknown selector kind");
-}
-
-CATNAP_PHASE_READ void
-RoundRobinSelector::Serialize(ckpt::Writer &w) const
-{
-    ckpt::put_vec_i32(w, next_);
-}
-
-CATNAP_PHASE_WRITE void
-RoundRobinSelector::Deserialize(ckpt::Reader &r)
-{
-    ckpt::take_vec_i32_exact(r, next_, "round-robin selector pointer");
-}
-
-CATNAP_PHASE_READ void
-RandomSelector::Serialize(ckpt::Writer &w) const
-{
-    rng_.Serialize(w);
-}
-
-CATNAP_PHASE_WRITE void
-RandomSelector::Deserialize(ckpt::Reader &r)
-{
-    rng_.Deserialize(r);
-}
-
-CATNAP_PHASE_READ void
-CatnapSelector::Serialize(ckpt::Writer &w) const
-{
-    ckpt::put_vec_i32(w, rr_next_);
-}
-
-CATNAP_PHASE_WRITE void
-CatnapSelector::Deserialize(ckpt::Reader &r)
-{
-    ckpt::take_vec_i32_exact(r, rr_next_, "Catnap selector spill pointer");
 }
 
 } // namespace catnap

@@ -10,7 +10,6 @@
 #include <memory>
 #include <vector>
 
-#include "ckpt/fwd.h"
 #include "common/phase.h"
 #include "common/rng.h"
 #include "common/types.h"
@@ -77,26 +76,6 @@ class SubnetSelector
      */
     void set_health(const HealthMask *health) { health_ = health; }
 
-    // -- Checkpointing (src/ckpt; DESIGN.md §13) ---------------------------
-
-    /**
-     * Appends the policy's evolving state (round-robin pointers, RNG).
-     * The default is a no-op for stateless policies. Congestion/health
-     * attachments are wiring, rebuilt by the MultiNoc constructor.
-     */
-    CATNAP_PHASE_READ virtual void
-    Serialize(ckpt::Writer &w) const
-    {
-        (void)w;
-    }
-
-    /** Restores what Serialize() wrote (no-op for stateless policies). */
-    CATNAP_PHASE_WRITE virtual void
-    Deserialize(ckpt::Reader &r)
-    {
-        (void)r;
-    }
-
   protected:
     /** True when subnet @p s may carry traffic. */
     bool
@@ -119,9 +98,6 @@ class RoundRobinSelector final : public SubnetSelector
                     const std::vector<bool> &slot_free, int backlog_flits,
                     Cycle now) override;
 
-    CATNAP_COLD_PATH CATNAP_PHASE_READ void Serialize(ckpt::Writer &w) const override;
-    CATNAP_COLD_PATH CATNAP_PHASE_WRITE void Deserialize(ckpt::Reader &r) override;
-
   private:
     int num_subnets_;
     std::vector<int> next_; // per node
@@ -136,9 +112,6 @@ class RandomSelector final : public SubnetSelector
     SubnetId select(NodeId node, const PacketDesc &pkt,
                     const std::vector<bool> &slot_free, int backlog_flits,
                     Cycle now) override;
-
-    CATNAP_COLD_PATH CATNAP_PHASE_READ void Serialize(ckpt::Writer &w) const override;
-    CATNAP_COLD_PATH CATNAP_PHASE_WRITE void Deserialize(ckpt::Reader &r) override;
 
   private:
     int num_subnets_;
@@ -175,9 +148,6 @@ class CatnapSelector final : public SubnetSelector
     SubnetId select(NodeId node, const PacketDesc &pkt,
                     const std::vector<bool> &slot_free, int backlog_flits,
                     Cycle now) override;
-
-    CATNAP_COLD_PATH CATNAP_PHASE_READ void Serialize(ckpt::Writer &w) const override;
-    CATNAP_COLD_PATH CATNAP_PHASE_WRITE void Deserialize(ckpt::Reader &r) override;
 
   private:
     int num_subnets_;

@@ -1,21 +1,21 @@
 /**
  * @file
- * Minimal binary archive used by the checkpoint subsystem (DESIGN.md §13).
+ * Minimal binary archive under every sealed image (ckpt/checkpoint.h),
+ * every journal record (ckpt/journal.h), and the Serialize() methods of
+ * the metric and activity counters.
  *
  * A ckpt::Writer appends fixed-width little-endian fields to an in-memory
  * byte buffer; a ckpt::Reader consumes them in the same order. Encoding is
  * field-wise (never whole-struct memcpy) so struct padding can never leak
- * into a checkpoint and round-trips are bit-identical across platforms.
+ * into an image and round-trips are bit-identical across platforms.
  * Readers throw ckpt::CkptError on any truncation, so a damaged file is
- * rejected with a precise message instead of silently producing a corrupt
- * simulator.
+ * rejected with a precise message instead of silently decoding garbage.
  *
  * Phase discipline: Serialize() methods are CATNAP_PHASE_READ (they only
  * observe simulator state, plus the order-independent append into the
- * archive buffer — same convention as RingFifo::push), and Deserialize()
- * methods are CATNAP_PHASE_WRITE (they overwrite simulator state).
- * Writer::put_* is therefore READ and Reader::take_* is WRITE, keeping
- * the interprocedural phase lint (L4/L5) clean with zero suppressions.
+ * archive buffer — same convention as RingFifo::push). Writer::put_* is
+ * therefore READ and Reader::take_* is WRITE, keeping the
+ * interprocedural phase lint (L4/L5) clean with zero suppressions.
  */
 #ifndef CATNAP_CKPT_ARCHIVE_H
 #define CATNAP_CKPT_ARCHIVE_H
@@ -32,7 +32,7 @@
 namespace catnap {
 namespace ckpt {
 
-/** Raised on any malformed checkpoint: truncation, bad magic/version/hash/CRC. */
+/** Raised on any malformed image: truncation, bad magic/version/hash/CRC. */
 class CkptError : public std::runtime_error
 {
   public:

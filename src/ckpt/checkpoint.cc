@@ -64,8 +64,8 @@ mix_config(Fnv1a &h, const MultiNocConfig &cfg)
     h.mix_i32(cfg.t_idle_detect);
     h.mix_u64(cfg.seed);
 
-    // Fault plan: a checkpoint taken under one plan must never restore
-    // under another (the controller's timeline cursors index into it).
+    // Fault plan: two points that differ only in their faults are
+    // different points.
     h.mix_u64(cfg.fault.events.size());
     for (const FaultEvent &ev : cfg.fault.events) {
         h.mix_i32(static_cast<std::int32_t>(ev.kind));
@@ -191,26 +191,6 @@ read_file(const std::string &path)
     if (in.bad())
         throw CkptError("checkpoint: read from '" + path + "' failed");
     return bytes;
-}
-
-void
-Save(const MultiNoc &net, const std::string &path)
-{
-    Writer w;
-    net.Serialize(w);
-    write_file(path, seal(config_hash(net.config()), w.bytes()));
-}
-
-std::unique_ptr<MultiNoc>
-Restore(const MultiNocConfig &cfg, const std::string &path)
-{
-    const std::vector<std::uint8_t> payload =
-        open(config_hash(cfg), read_file(path));
-    auto net = std::make_unique<MultiNoc>(cfg);
-    Reader r(payload);
-    net->Deserialize(r);
-    r.expect_exhausted();
-    return net;
 }
 
 } // namespace ckpt

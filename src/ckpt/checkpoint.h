@@ -1,33 +1,34 @@
 /**
  * @file
- * Versioned checkpoint container and the Save/Restore entry points
- * (DESIGN.md §13).
+ * The sealed container and the configuration hash (DESIGN.md §15).
  *
- * On-disk layout (all integers little-endian):
+ * Every byte image that crosses a process or a restart — a point-spec
+ * file, a worker's result image, a served answer — is a ckpt::Writer
+ * payload sealed in this container. On-disk layout (all integers
+ * little-endian):
  *
  *   offset  size  field
  *        0     4  magic          0x50414e43 ("CNAP")
  *        4     4  format version (kFormatVersion)
- *        8     8  config hash    FNV-1a over the full MultiNocConfig
+ *        8     8  config hash    the key the image belongs to
  *       16     8  payload length in bytes
  *       24     4  CRC32 (IEEE 802.3) of the payload
  *       28     -  payload        the ckpt::Writer byte stream
  *
  * open() validates magic, version, config hash, length, and CRC — in
  * that order, each with a precise CkptError — before a single payload
- * byte is decoded, so a truncated or bit-flipped file can never produce
- * a half-restored simulator.
+ * byte is decoded, so a truncated or bit-flipped file is rejected
+ * whole.
  *
- * The config hash covers every field of MultiNocConfig including the
- * whole fault plan: a checkpoint can only be restored into the exact
- * configuration that produced it. Callers embedding extra run context
- * (traffic, phase lengths) extend the hash via Fnv1a + mix_config().
+ * config_hash() covers every field of MultiNocConfig including the
+ * whole fault plan. Callers keying extra run context (traffic, phase
+ * lengths) extend it via Fnv1a + mix_config(), as run_config_hash()
+ * does.
  */
 #ifndef CATNAP_CKPT_CHECKPOINT_H
 #define CATNAP_CKPT_CHECKPOINT_H
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,7 +37,6 @@
 namespace catnap {
 
 struct MultiNocConfig;
-class MultiNoc;
 
 namespace ckpt {
 
@@ -91,7 +91,7 @@ class Fnv1a
 /** Mixes every MultiNocConfig field (fault plan included) into @p h. */
 void mix_config(Fnv1a &h, const MultiNocConfig &cfg);
 
-/** The config hash stored in (and demanded of) network checkpoints. */
+/** FNV-1a over every MultiNocConfig field (mix_config()). */
 std::uint64_t config_hash(const MultiNocConfig &cfg);
 
 /** Wraps @p payload in the magic/version/hash/length/CRC container. */
@@ -100,7 +100,7 @@ std::vector<std::uint8_t> seal(std::uint64_t config_hash,
 
 /**
  * Validates a sealed container and returns its payload. Throws CkptError
- * naming exactly what is wrong: not a checkpoint (magic), unsupported
+ * naming exactly what is wrong: not a sealed image (magic), unsupported
  * format version, config-hash mismatch, truncation, or CRC mismatch.
  */
 std::vector<std::uint8_t> open(std::uint64_t expected_config_hash,
@@ -120,20 +120,6 @@ void write_file(const std::string &path,
 
 /** Reads @p path fully; throws CkptError if it cannot be read. */
 std::vector<std::uint8_t> read_file(const std::string &path);
-
-// -- Entry points ----------------------------------------------------------
-
-/** Serializes @p net into a sealed checkpoint file at @p path. */
-void Save(const MultiNoc &net, const std::string &path);
-
-/**
- * Rebuilds a MultiNoc from the checkpoint at @p path. @p cfg must be the
- * exact configuration the checkpoint was saved under (enforced via the
- * config hash); the network is constructed from it and its data state
- * overwritten from the validated payload.
- */
-std::unique_ptr<MultiNoc> Restore(const MultiNocConfig &cfg,
-                                  const std::string &path);
 
 } // namespace ckpt
 } // namespace catnap

@@ -16,18 +16,19 @@
  *
  * Crash discipline: the journal is only ever appended to, one whole
  * record per completed sweep point, flushed before the write is
- * considered durable. A supervisor killed mid-append leaves a torn
- * tail; scan_journal() accepts every intact prefix record and reports
- * the torn/corrupt tail as discarded bytes instead of failing the
- * whole file, so a resumed sweep keeps all completed work. Corruption
+ * considered durable. A process killed mid-append leaves a torn tail;
+ * scan_journal() accepts every intact prefix record and reports the
+ * torn/corrupt tail as discarded bytes instead of failing the whole
+ * file, so a resumed sweep keeps all completed work. Corruption
  * *inside* the prefix (bad magic, CRC mismatch) also ends the scan:
  * nothing after a damaged record can be trusted, and the sweep points
  * whose records were lost are simply re-executed.
  *
- * Free functions do the byte-level work (same convention as
- * ckpt/codec.h: they mutate no member state, staying outside the phase
- * lint's member-function rules); JournalWriter owns the append-mode
- * file handle.
+ * The one user is exec/result_store.h, which compacts a torn file
+ * before appending to it. Free functions do the byte-level work (they
+ * mutate no member state, staying outside the phase lint's
+ * member-function rules); JournalWriter owns the append-mode file
+ * handle.
  */
 #ifndef CATNAP_CKPT_JOURNAL_H
 #define CATNAP_CKPT_JOURNAL_H

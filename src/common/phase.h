@@ -57,9 +57,9 @@
  *    `EventSink::on_event`). The sharded core serialises the appends;
  *    order independence makes the serialisation order irrelevant.
  *  - CATNAP_SHARD_SAFE + CATNAP_PHASE_WRITE: a *barrier* entry point —
- *    called only from the serialised commit/policy/checkpoint section
- *    between parallel evaluate regions (`Router::enter_sleep` from the
- *    gating policy, the `Serialize`/`Deserialize` checkpoint surface).
+ *    called only from the serialised commit/policy section between
+ *    parallel evaluate regions (`Router::enter_sleep` from the gating
+ *    policy, `MultiNoc::offer_packet` from the traffic drivers).
  *    The sharded core must run these single-threaded at the cycle
  *    barrier.
  *
@@ -78,8 +78,8 @@
  * (rule L10, results/hotpath.json). Some annotated entry points are
  * *slow paths* that run rarely (or outside the measured loop) yet
  * still carry a phase label because they touch committed state under
- * the two-phase discipline: checkpoint Serialize/Deserialize, fault
- * handling, invariant reporting. CATNAP_COLD_PATH declares exactly
+ * the two-phase discipline: the counters' Serialize, fault handling,
+ * invariant reporting. CATNAP_COLD_PATH declares exactly
  * that: the function (and everything reachable only through it) is
  * pruned from the hot-path closure, so it may allocate, do I/O, or
  * throw without tripping L9 — and it does not pollute the hot-path
@@ -106,7 +106,7 @@
 #define CATNAP_SHARD_SAFE
 
 /** Marks a phase-annotated entry point as a rarely-run slow path
- * (checkpointing, fault handling, reporting): it and everything
+ * (counter serialisation, fault handling, reporting): it and everything
  * reachable only through it are pruned from the hot-path closure, so
  * rules L9/L10 ignore it. See the file comment. */
 #define CATNAP_COLD_PATH

@@ -2,23 +2,7 @@
 
 #include <cmath>
 
-#include "ckpt/archive.h"
-
 namespace catnap {
-
-CATNAP_PHASE_READ void
-Rng::Serialize(ckpt::Writer &w) const
-{
-    for (std::uint64_t word : state_)
-        w.put_u64(word);
-}
-
-CATNAP_PHASE_WRITE void
-Rng::Deserialize(ckpt::Reader &r)
-{
-    for (std::uint64_t &word : state_)
-        word = r.take_u64();
-}
 
 std::uint64_t
 Rng::geometric(double p)

@@ -12,7 +12,6 @@
 #define CATNAP_COMMON_RNG_H
 
 #include <cstdint>
-#include "ckpt/fwd.h"
 #include "common/phase.h"
 
 namespace catnap {
@@ -117,12 +116,6 @@ class Rng
     {
         return Rng(next_u64() ^ 0xd1b54a32d192ed03ULL);
     }
-
-    /** Appends the full generator state to a checkpoint (DESIGN.md §13). */
-    CATNAP_COLD_PATH CATNAP_PHASE_READ void Serialize(ckpt::Writer &w) const;
-
-    /** Restores the generator state from a checkpoint. */
-    CATNAP_COLD_PATH CATNAP_PHASE_WRITE void Deserialize(ckpt::Reader &r);
 
   private:
     static std::uint64_t

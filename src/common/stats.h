@@ -68,7 +68,7 @@ class RunningStat
     /** Maximum sample, or 0 if empty. */
     double max() const { return n_ ? max_ : 0.0; }
 
-    /** Appends the accumulator state to a checkpoint (DESIGN.md §13). */
+    /** Appends the accumulator state to @p w (NetMetrics::Serialize). */
     CATNAP_COLD_PATH CATNAP_PHASE_READ void
     Serialize(ckpt::Writer &w) const
     {
@@ -78,18 +78,6 @@ class RunningStat
         w.put_double(sum_);
         w.put_double(min_);
         w.put_double(max_);
-    }
-
-    /** Restores the accumulator state from a checkpoint. */
-    CATNAP_COLD_PATH CATNAP_PHASE_WRITE void
-    Deserialize(ckpt::Reader &r)
-    {
-        n_ = r.take_u64();
-        mean_ = r.take_double();
-        m2_ = r.take_double();
-        sum_ = r.take_double();
-        min_ = r.take_double();
-        max_ = r.take_double();
     }
 
   private:
@@ -152,7 +140,7 @@ class Histogram
         return width_ * static_cast<double>(counts_.size());
     }
 
-    /** Appends the histogram state to a checkpoint (DESIGN.md §13). */
+    /** Appends the histogram state to @p w (NetMetrics::Serialize). */
     CATNAP_COLD_PATH CATNAP_PHASE_READ void
     Serialize(ckpt::Writer &w) const
     {
@@ -161,17 +149,6 @@ class Histogram
         for (std::uint64_t c : counts_)
             w.put_u64(c);
         w.put_u64(total_);
-    }
-
-    /** Restores the histogram state from a checkpoint. */
-    CATNAP_COLD_PATH CATNAP_PHASE_WRITE void
-    Deserialize(ckpt::Reader &r)
-    {
-        width_ = r.take_double();
-        counts_.assign(static_cast<std::size_t>(r.take_u64()), 0);
-        for (std::uint64_t &c : counts_)
-            c = r.take_u64();
-        total_ = r.take_u64();
     }
 
   private:
@@ -219,7 +196,7 @@ class WindowedSeries
     /** Window length in cycles. */
     std::uint64_t window() const { return window_; }
 
-    /** Appends the sampler state to a checkpoint (DESIGN.md §13). */
+    /** Appends the sampler state to @p w (NetMetrics::Serialize). */
     CATNAP_COLD_PATH CATNAP_PHASE_READ void
     Serialize(ckpt::Writer &w) const
     {
@@ -229,18 +206,6 @@ class WindowedSeries
         w.put_u64(samples_.size());
         for (double s : samples_)
             w.put_double(s);
-    }
-
-    /** Restores the sampler state from a checkpoint. */
-    CATNAP_COLD_PATH CATNAP_PHASE_WRITE void
-    Deserialize(ckpt::Reader &r)
-    {
-        window_ = r.take_u64();
-        next_index_ = r.take_u64();
-        current_ = r.take_double();
-        samples_.assign(static_cast<std::size_t>(r.take_u64()), 0.0);
-        for (double &s : samples_)
-            s = r.take_double();
     }
 
   private:

@@ -8,8 +8,8 @@ namespace catnap {
 
 namespace {
 
-/** Domain hash sealing point-spec images: a spec is not a checkpoint
- * and not a result, and must never open as either. */
+/** Domain hash sealing point-spec images: a spec is not a result and
+ * must never open as one. */
 std::uint64_t
 spec_hash()
 {
@@ -266,6 +266,20 @@ take_synth_result(ckpt::Reader &r)
     return res;
 }
 
+bool
+decode_synth_result(const std::vector<std::uint8_t> &payload,
+                    SyntheticResult &out)
+{
+    try {
+        ckpt::Reader r(payload);
+        out = take_synth_result(r);
+        r.expect_exhausted();
+        return true;
+    } catch (const ckpt::CkptError &) {
+        return false;
+    }
+}
+
 std::string
 key_hex(std::uint64_t key)
 {
@@ -278,8 +292,8 @@ key_hex(std::uint64_t key)
 std::uint64_t
 point_hash(const RunItem &item)
 {
-    // Domain tag "PNT1": a point identity is neither a bare-network
-    // hash nor a run-checkpoint hash and must never match either.
+    // Domain tag "PNT1": a point identity is not a bare-network
+    // config_hash() and must never match one.
     return run_config_hash(item.cfg, 0x31544e50u, item.traffic,
                            item.params);
 }

@@ -22,9 +22,9 @@
  * is bit-identical to the in-process value: the merged sweep output is
  * pinned byte-for-byte equal to an uninterrupted serial run.
  *
- * The same point hash keys the sweep journal (ckpt/journal.h): a
- * journal record written for one point can never be replayed into
- * another, and reordering the sweep grid between runs is harmless.
+ * The same point hash keys the result store (exec/result_store.h): a
+ * record written for one point can never be replayed into another,
+ * and reordering the sweep grid between runs is harmless.
  *
  * Helpers are free functions, same convention as ckpt/codec.h.
  */
@@ -67,9 +67,18 @@ void put_synth_result(ckpt::Writer &w, const SyntheticResult &res);
 SyntheticResult take_synth_result(ckpt::Reader &r);
 
 /**
+ * Decodes a stored result payload (one put_synth_result stream) into
+ * @p out. False when the bytes are not exactly one SyntheticResult —
+ * schema drift or trailing bytes behind an intact CRC — so the caller
+ * re-executes the point instead of replaying it.
+ */
+bool decode_synth_result(const std::vector<std::uint8_t> &payload,
+                         SyntheticResult &out);
+
+/**
  * The 64-bit identity of one sweep point: run_config_hash() under the
- * "PNT1" domain tag (the same field list SyntheticRun's run-checkpoint
- * hash covers). Keys journal records and seals worker result files.
+ * "PNT1" domain tag. Keys result-store records and seals worker result
+ * files.
  */
 std::uint64_t point_hash(const RunItem &item);
 

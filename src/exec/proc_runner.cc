@@ -16,6 +16,7 @@
 
 #include "ckpt/checkpoint.h"
 #include "exec/point_codec.h"
+#include "exec/result_store.h"
 
 extern char **environ;
 
@@ -108,9 +109,6 @@ ProcRunner::ProcRunner(const ProcOptions &opts) : opts_(opts)
         throw std::invalid_argument("proc: worker executable is required");
     if (opts_.scratch_dir.empty())
         throw std::invalid_argument("proc: scratch_dir is required");
-    if (opts_.resume && opts_.journal.empty())
-        throw std::invalid_argument("proc: --resume requires a journal");
-    // Before run() opens a journal, which may live inside it.
     std::error_code ec;
     std::filesystem::create_directories(opts_.scratch_dir, ec);
     if (ec) {
@@ -132,80 +130,53 @@ ProcRunner::emit(TraceEvent ev)
     opts_.sink->on_event(ev);
 }
 
-void
-ProcRunner::journal_append(std::uint64_t key,
-                           const std::vector<std::uint8_t> &payload)
-{
-    if (journal_ == nullptr)
-        return;
-    std::lock_guard<std::mutex> lock(journal_mutex_);
-    journal_->append(key, payload);
-}
-
 ProcSweepResult
-ProcRunner::run(const std::vector<RunItem> &items)
+run_points(const std::vector<RunItem> &items, int jobs,
+           const PointExecutor &exec, ResultStore *store)
 {
     ProcSweepResult out;
     const std::size_t n = items.size();
     out.points.resize(n);
     if (n == 0)
         return out;
-    epoch_us_ = now_us();
-
-    // Replay the journal before opening it for writing: in append mode
-    // replay decides which points are already done, in truncate mode a
-    // stale journal holds results for a possibly different sweep and
-    // must not leak into this one.
-    std::map<std::uint64_t, std::vector<std::uint8_t>> replay;
-    if (opts_.resume) {
-        for (ckpt::JournalRecord &rec :
-             ckpt::load_journal(opts_.journal).records)
-            replay[rec.key] = std::move(rec.payload); // last record wins
-    }
-    if (!opts_.journal.empty()) {
-        journal_ = std::make_unique<ckpt::JournalWriter>(
-            opts_.journal, opts_.resume
-                               ? ckpt::JournalWriter::Mode::kAppend
-                               : ckpt::JournalWriter::Mode::kTruncate);
-    }
 
     std::vector<std::uint64_t> keys(n);
     for (std::size_t i = 0; i < n; ++i)
         keys[i] = point_hash(items[i]);
 
     // Identical points (same key) run once and share the result; the
-    // first occurrence owns the slot the worker writes into.
+    // first occurrence owns the slot the executor writes into.
     std::map<std::uint64_t, std::size_t> owner;
     std::vector<std::size_t> pending;
     for (std::size_t i = 0; i < n; ++i) {
         if (!owner.emplace(keys[i], i).second)
             continue;
-        const auto rec = replay.find(keys[i]);
-        if (rec != replay.end()) {
-            try {
-                ckpt::Reader r(rec->second);
-                PointReport rep;
-                rep.result = take_synth_result(r);
-                r.expect_exhausted();
-                rep.status = PointStatus::kFromJournal;
-                rep.key = keys[i];
-                out.points[i] = std::move(rep);
-                continue;
-            } catch (const ckpt::CkptError &) {
-                // Damaged record that still passed the CRC scan (e.g.
-                // schema drift): forget it and re-run the point.
-            }
+        std::vector<std::uint8_t> payload;
+        PointReport &rep = out.points[i];
+        if (store != nullptr && store->lookup(keys[i], payload) &&
+            decode_synth_result(payload, rep.result)) {
+            rep.status = PointStatus::kFromJournal;
+            rep.key = keys[i];
+            continue;
         }
         pending.push_back(i);
     }
 
-    // Jobs only throw on supervisor-side faults (spawn/scratch/journal
-    // I/O); worker failures become quarantine reports.
+    // Each point lands in the store as it finishes; the executors run
+    // concurrently, the store is serialised here.
+    std::mutex store_mutex;
     ExecOptions eo;
-    eo.jobs = opts_.jobs;
+    eo.jobs = jobs;
     SweepRunner(eo).run_jobs(pending.size(), [&](std::size_t p) {
         const std::size_t idx = pending[p];
-        out.points[idx] = run_point(idx, items[idx], keys[idx]);
+        out.points[idx] = exec(idx, items[idx], keys[idx]);
+        if (store == nullptr ||
+            out.points[idx].status != PointStatus::kOk)
+            return;
+        ckpt::Writer w;
+        put_synth_result(w, out.points[idx].result);
+        std::lock_guard<std::mutex> lock(store_mutex);
+        store->insert(keys[idx], w.bytes());
     });
 
     for (std::size_t i = 0; i < n; ++i) {
@@ -224,6 +195,17 @@ ProcRunner::run(const std::vector<RunItem> &items)
         }
     }
     return out;
+}
+
+ProcSweepResult
+ProcRunner::run(const std::vector<RunItem> &items)
+{
+    epoch_us_ = now_us();
+    return run_points(items, opts_.jobs,
+                      [this](std::size_t index, const RunItem &item,
+                             std::uint64_t key) {
+                          return run_point(index, item, key);
+                      });
 }
 
 PointReport
@@ -331,9 +313,6 @@ ProcRunner::run_point(std::size_t index, const RunItem &item,
                     ev.a = attempt;
                     ev.b = static_cast<std::int32_t>(PointFailKind::kNone);
                     emit(ev);
-                    ckpt::Writer w;
-                    put_synth_result(w, rep.result);
-                    journal_append(key, w.bytes());
                     ::unlink(spec_path.c_str());
                     ::unlink(out_path.c_str());
                     return rep;

@@ -1,13 +1,19 @@
 /**
  * @file
- * Crash-isolated sweep backend: one supervised worker subprocess per
- * sweep point, with watchdog, bounded retry, crash classification,
- * quarantine, and a resumable journal (DESIGN.md §15).
+ * The per-point executors and the one batch path every local backend
+ * shares (DESIGN.md §15).
  *
- * The in-process runner (exec/sweep_runner.h) is fast but fate-shares
- * with its points: one simulator abort, stack smash, or OOM kill takes
- * the whole sweep — and every finished result — with it. ProcRunner
- * trades a process spawn per point for fault containment:
+ * run_points() resolves a batch against an optional ResultStore
+ * (exec/result_store.h, the `--journal` file): stored points replay
+ * without executing, identical points run once, and every other point
+ * runs through a per-point executor and lands in the store the moment
+ * it finishes. Two executors exist: run_point_in_process(), and
+ * ProcRunner::run_point(), the crash-isolated backend.
+ *
+ * The in-process executor is fast but fate-shares with its points: one
+ * simulator abort, stack smash, or OOM kill takes the whole sweep with
+ * it. ProcRunner trades a process spawn per point for fault
+ * containment:
  *
  *   - each point runs in a fresh worker process (`catnap_sim
  *     --worker-spec ... --worker-out ...`) that receives its full
@@ -19,35 +25,34 @@
  *     are classified separately (PointFailKind);
  *   - a failed point is retried with exponential backoff; a point that
  *     exhausts its budget is *quarantined* — recorded, skipped, and
- *     reported — while the rest of the sweep completes;
- *   - every fresh result is appended to a CRC-checked journal
- *     (ckpt/journal.h) keyed by the point hash; a resumed sweep
- *     replays the journal and only spawns workers for missing points.
+ *     reported — while the rest of the sweep completes.
  *
  * Determinism contract: results are delivered in item order regardless
  * of completion order, and a resumed or isolated sweep's merged output
- * is bit-identical to an uninterrupted in-process run — workers encode
- * doubles by bit pattern and the simulation itself is deterministic.
- * Quarantine reporting is equally deterministic: reports and the
- * summary string are assembled in point-index order, never completion
- * order. (Which *attempt* fails can vary with host scheduling; which
- * points are quarantined for a deterministic failure cannot.)
+ * is bit-identical to an uninterrupted in-process run — workers and the
+ * store encode doubles by bit pattern and the simulation itself is
+ * deterministic. Quarantine reporting is equally deterministic: reports
+ * and the summary string are assembled in point-index order, never
+ * completion order. (Which *attempt* fails can vary with host
+ * scheduling; which points are quarantined for a deterministic failure
+ * cannot.)
  */
 #ifndef CATNAP_EXEC_PROC_RUNNER_H
 #define CATNAP_EXEC_PROC_RUNNER_H
 
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "ckpt/journal.h"
 #include "exec/sweep_runner.h"
 #include "obs/event.h"
 #include "sim/simulator.h"
 
 namespace catnap {
+
+class ResultStore;
 
 /** Policy for one isolated sweep. */
 struct ProcOptions
@@ -59,15 +64,6 @@ struct ProcOptions
      * missing. Files are named by point-hash hex, so concurrent sweeps
      * must use distinct scratch directories. */
     std::string scratch_dir;
-
-    /** Journal path; empty disables journalling (and resume). */
-    std::string journal;
-
-    /** Replay an existing journal before spawning anything: points
-     * with an intact record are served from it, the journal is opened
-     * in append mode, and only missing points run. Without resume an
-     * existing journal file is truncated. */
-    bool resume = false;
 
     /** Concurrent workers; 0 = ThreadPool::default_jobs(). */
     int jobs = 0;
@@ -92,8 +88,8 @@ struct ProcOptions
 
 /** How one sweep point ended up with (or without) a result. */
 enum class PointStatus : std::int8_t {
-    kOk = 0,          ///< a worker produced the result this run
-    kFromJournal = 1, ///< replayed from the journal, no worker spawned
+    kOk = 0,          ///< the point executed this run
+    kFromJournal = 1, ///< replayed from the result store, not executed
     kQuarantined = 2, ///< every attempt failed; no result
 };
 
@@ -123,7 +119,7 @@ struct PointFailure
 struct PointReport
 {
     PointStatus status = PointStatus::kQuarantined;
-    std::uint64_t key = 0;     ///< point hash (journal key)
+    std::uint64_t key = 0;     ///< point hash (result-store key)
     double offered_load = 0;   ///< the point's traffic load (summary id)
     std::uint64_t seed = 0;    ///< the point's run seed (summary id)
     int attempts = 0;          ///< executions of this point (workers
@@ -141,15 +137,16 @@ struct PointReport
  */
 PointReport run_point_in_process(const RunItem &item);
 
-/** Outcome of a whole isolated sweep. */
+/** Outcome of a whole batch (run_points()). */
 struct ProcSweepResult
 {
     std::vector<PointReport> points; ///< index-ordered, one per item
 
-    std::size_t completed = 0;    ///< points a worker finished this run
-    std::size_t from_journal = 0; ///< points replayed from the journal
+    std::size_t completed = 0;    ///< points executed this run
+    std::size_t from_journal = 0; ///< points replayed from the store
     std::size_t quarantined = 0;  ///< points with no result
-    std::size_t spawned = 0;      ///< total worker processes spawned
+    std::size_t spawned = 0;      ///< executions: worker processes
+                                  ///< spawned, or in-process runs
 
     bool ok() const { return quarantined == 0; }
 
@@ -169,6 +166,32 @@ struct ProcSweepResult
     std::string quarantine_summary() const;
 };
 
+/** Runs one point (key = point_hash(item)); @p index labels its
+ * events. Returns a report, throwing only on supervisor-side faults. */
+using PointExecutor = std::function<PointReport(
+    std::size_t index, const RunItem &item, std::uint64_t key)>;
+
+/**
+ * The one batch path: resolves @p items against @p store (null = no
+ * store), runs the rest through @p exec on @p jobs threads (0 =
+ * ThreadPool::default_jobs()), and returns index-ordered reports.
+ *
+ *   - a point whose key the store holds, with a payload that decodes,
+ *     replays from it (kFromJournal) without executing;
+ *   - identical points (same key) execute once and share the result;
+ *   - every point that executes successfully is inserted into the
+ *     store the moment it finishes, so a process killed mid-batch
+ *     loses at most the points in flight. Quarantined points are never
+ *     stored.
+ *
+ * Throws what @p exec throws, and ckpt::CkptError when the store
+ * cannot append, after the batch drains (lowest index first, as
+ * SweepRunner::run_jobs).
+ */
+ProcSweepResult run_points(const std::vector<RunItem> &items, int jobs,
+                           const PointExecutor &exec,
+                           ResultStore *store = nullptr);
+
 /**
  * The supervisor. Not copyable; one instance per sweep, or one per
  * daemon calling run_point(). Lives in src/exec/, which is host-side by
@@ -186,19 +209,18 @@ class ProcRunner
     ProcRunner &operator=(const ProcRunner &) = delete;
 
     /**
-     * Runs every item through a supervised worker (or the journal) and
-     * returns index-ordered reports. Throws on supervisor-side errors
-     * only — an unrunnable worker binary, an unwritable scratch file or
-     * journal; *worker* failures are classified and quarantined, never
-     * thrown.
+     * Runs every item through a supervised worker: run_points() with
+     * run_point() as the executor and no store. Throws on
+     * supervisor-side errors only — an unrunnable worker binary, an
+     * unwritable scratch file; *worker* failures are classified and
+     * quarantined, never thrown.
      */
     ProcSweepResult run(const std::vector<RunItem> &items);
 
     /**
      * Runs one point (key = point_hash(item)) through a supervised
      * worker, retrying and finally quarantining it as the options say;
-     * @p index labels its proc.* events. This is the per-point body of
-     * run(); journal replay and dedup stay in run(). Safe to call
+     * @p index labels its proc.* events. A PointExecutor. Safe to call
      * concurrently for distinct keys (scratch files are named by key).
      * Throws on supervisor-side faults only, like run().
      */
@@ -207,13 +229,9 @@ class ProcRunner
 
   private:
     void emit(TraceEvent ev);
-    void journal_append(std::uint64_t key,
-                        const std::vector<std::uint8_t> &payload);
 
     ProcOptions opts_;
     std::mutex sink_mutex_;
-    std::mutex journal_mutex_;
-    std::unique_ptr<ckpt::JournalWriter> journal_;
     std::int64_t epoch_us_ = 0; ///< construction or run() start, host us
 };
 

@@ -1,9 +1,9 @@
-#include "serve/cache.h"
+#include "exec/result_store.h"
 
 #include <algorithm>
+#include <filesystem>
 
 namespace catnap {
-namespace serve {
 
 namespace {
 
@@ -17,10 +17,16 @@ record_bytes(const std::vector<std::uint8_t> &payload)
 
 } // namespace
 
-ResultCache::ResultCache(const CacheConfig &cfg) : cfg_(cfg)
+ResultStore::ResultStore(const StoreConfig &cfg) : cfg_(cfg)
 {
     if (cfg_.path.empty())
         return;
+    const std::filesystem::path dir =
+        std::filesystem::path(cfg_.path).parent_path();
+    if (!dir.empty()) {
+        std::error_code ec; // an unusable directory fails the open below
+        std::filesystem::create_directories(dir, ec);
+    }
 
     const ckpt::JournalScan scan = ckpt::load_journal(cfg_.path);
     discarded_ = scan.discarded_bytes;
@@ -52,7 +58,7 @@ ResultCache::ResultCache(const CacheConfig &cfg) : cfg_(cfg)
 }
 
 bool
-ResultCache::lookup(std::uint64_t key,
+ResultStore::lookup(std::uint64_t key,
                     std::vector<std::uint8_t> &payload) const
 {
     const auto it = index_.find(key);
@@ -63,13 +69,13 @@ ResultCache::lookup(std::uint64_t key,
 }
 
 bool
-ResultCache::contains(std::uint64_t key) const
+ResultStore::contains(std::uint64_t key) const
 {
     return index_.find(key) != index_.end();
 }
 
 void
-ResultCache::insert(std::uint64_t key,
+ResultStore::insert(std::uint64_t key,
                     const std::vector<std::uint8_t> &payload)
 {
     auto [it, fresh] = index_.emplace(key, payload);
@@ -96,7 +102,7 @@ ResultCache::insert(std::uint64_t key,
 }
 
 void
-ResultCache::evict_to_bound(std::uint64_t protect_key)
+ResultStore::evict_to_bound(std::uint64_t protect_key)
 {
     if (cfg_.max_bytes == 0)
         return;
@@ -115,7 +121,7 @@ ResultCache::evict_to_bound(std::uint64_t protect_key)
 }
 
 void
-ResultCache::compact()
+ResultStore::compact()
 {
     if (cfg_.path.empty())
         return;
@@ -131,5 +137,4 @@ ResultCache::compact()
     }
 }
 
-} // namespace serve
 } // namespace catnap

@@ -4,7 +4,6 @@
 #include <set>
 #include <utility>
 
-#include "ckpt/archive.h"
 #include "common/log.h"
 #include "noc/flit.h"
 #include "noc/multinoc.h"
@@ -253,66 +252,6 @@ void
 FaultController::note_delivered(const Flit &tail)
 {
     noc_->ni(tail.src).ack_packet(tail.pkt);
-}
-
-CATNAP_PHASE_READ void
-FaultController::Serialize(ckpt::Writer &w) const
-{
-    monitor_.Serialize(w);
-    rng_.Serialize(w);
-    w.put_u64(next_event_);
-    w.put_u64(next_glitch_);
-
-    w.put_u64(windows_.size());
-    for (const WakeWindow &win : windows_) {
-        w.put_u64(win.from);
-        w.put_u64(win.until);
-        w.put_i32(win.subnet);
-        w.put_i32(win.node);
-        w.put_bool(win.delay);
-        w.put_u64(win.delay_by);
-    }
-
-    w.put_u64(delayed_.size());
-    for (const DelayedWake &d : delayed_) {
-        w.put_u64(d.fire_at);
-        w.put_i32(d.subnet);
-        w.put_i32(d.node);
-    }
-
-    w.put_u64(faults_fired_);
-}
-
-CATNAP_PHASE_WRITE void
-FaultController::Deserialize(ckpt::Reader &r)
-{
-    monitor_.Deserialize(r);
-    rng_.Deserialize(r);
-    next_event_ = static_cast<std::size_t>(r.take_u64());
-    next_glitch_ = static_cast<std::size_t>(r.take_u64());
-    if (next_event_ > timeline_.size() || next_glitch_ > glitches_.size())
-        throw ckpt::CkptError(
-            "checkpoint: fault timeline cursor beyond plan length — the "
-            "checkpoint was taken against a different fault plan");
-
-    windows_.resize(static_cast<std::size_t>(r.take_u64()));
-    for (WakeWindow &win : windows_) {
-        win.from = r.take_u64();
-        win.until = r.take_u64();
-        win.subnet = r.take_i32();
-        win.node = r.take_i32();
-        win.delay = r.take_bool();
-        win.delay_by = r.take_u64();
-    }
-
-    delayed_.resize(static_cast<std::size_t>(r.take_u64()));
-    for (DelayedWake &d : delayed_) {
-        d.fire_at = r.take_u64();
-        d.subnet = r.take_i32();
-        d.node = r.take_i32();
-    }
-
-    faults_fired_ = r.take_u64();
 }
 
 } // namespace catnap

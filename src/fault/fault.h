@@ -97,21 +97,6 @@ class FaultController final : public WakeFaultModel
     /** Subnets lost to hard faults so far. */
     std::uint64_t subnet_failures() const { return monitor_.subnet_failures(); }
 
-    // -- Checkpointing (src/ckpt; DESIGN.md §13) ---------------------------
-
-    /**
-     * Appends the controller's evolving state: health monitor, private
-     * RNG, timeline cursors, active wake windows, deferred wakes, and
-     * the activation counter. The sorted timeline_/glitches_ vectors are
-     * derived deterministically from the plan by the constructor and are
-     * not serialized — only the cursors into them are.
-     */
-    CATNAP_COLD_PATH CATNAP_PHASE_READ void Serialize(ckpt::Writer &w) const;
-
-    /** Restores what Serialize() wrote into a controller built from the
-     * same plan. */
-    CATNAP_COLD_PATH CATNAP_PHASE_WRITE void Deserialize(ckpt::Reader &r);
-
   private:
     /** A wake deferred by a kDelayedWake window, waiting to mature. */
     struct DelayedWake {

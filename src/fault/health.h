@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ckpt/archive.h"
 #include "common/types.h"
 #include "obs/event.h"
 #include "common/phase.h"
@@ -92,25 +91,6 @@ class HealthMask
         healthy_[static_cast<std::size_t>(s)] = false;
     }
 
-    /** Appends the health bits to a checkpoint (DESIGN.md §13). */
-    CATNAP_COLD_PATH CATNAP_PHASE_READ void
-    Serialize(ckpt::Writer &w) const
-    {
-        w.put_u64(healthy_.size());
-        for (bool h : healthy_)
-            w.put_bool(h);
-    }
-
-    /** Restores the health bits from a checkpoint. */
-    CATNAP_COLD_PATH CATNAP_PHASE_WRITE void
-    Deserialize(ckpt::Reader &r)
-    {
-        if (r.take_u64() != healthy_.size())
-            throw ckpt::CkptError("checkpoint: subnet health count mismatch");
-        for (std::size_t s = 0; s < healthy_.size(); ++s)
-            healthy_[s] = r.take_bool();
-    }
-
   private:
     std::vector<bool> healthy_;
 };
@@ -150,22 +130,6 @@ class HealthMonitor
             sink_->on_event({now, EventKind::kSubnetHealth, root, s, 0,
                              never_sleep_subnet(), 0});
         }
-    }
-
-    /** Appends the mask and failure count to a checkpoint. */
-    CATNAP_COLD_PATH CATNAP_PHASE_READ void
-    Serialize(ckpt::Writer &w) const
-    {
-        mask_.Serialize(w);
-        w.put_u64(failures_);
-    }
-
-    /** Restores the mask and failure count (sink wiring untouched). */
-    CATNAP_COLD_PATH CATNAP_PHASE_WRITE void
-    Deserialize(ckpt::Reader &r)
-    {
-        mask_.Deserialize(r);
-        failures_ = r.take_u64();
     }
 
   private:

@@ -33,9 +33,6 @@ class RingFifo
     /** Number of elements currently queued. */
     std::size_t size() const { return size_; }
 
-    /** Maximum number of elements. */
-    std::size_t capacity() const { return slots_.size(); }
-
     bool empty() const { return size_ == 0; }
     bool full() const { return size_ == slots_.size(); }
 
@@ -84,14 +81,6 @@ class RingFifo
     {
         CATNAP_ASSERT(i < size_, "FIFO index out of range");
         return slots_[wrap(head_ + i)];
-    }
-
-    /** Drops all elements. */
-    CATNAP_PHASE_READ void
-    clear()
-    {
-        head_ = 0;
-        size_ = 0;
     }
 
   private:

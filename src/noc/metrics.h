@@ -187,7 +187,11 @@ class NetMetrics
         return subnet_series_[static_cast<std::size_t>(s)];
     }
 
-    /** Appends the full metric state to a checkpoint (DESIGN.md §13). */
+    /**
+     * Appends the full metric state to @p w, field by field. The byte
+     * layout is the input of perfbench's state digest, so it stays
+     * fixed (DESIGN.md §13).
+     */
     CATNAP_COLD_PATH CATNAP_PHASE_READ void
     Serialize(ckpt::Writer &w) const
     {
@@ -219,44 +223,6 @@ class NetMetrics
         w.put_u64(subnet_series_.size());
         for (const WindowedSeries &s : subnet_series_)
             s.Serialize(w);
-    }
-
-    /** Restores the full metric state from a checkpoint. */
-    CATNAP_COLD_PATH CATNAP_PHASE_WRITE void
-    Deserialize(ckpt::Reader &r)
-    {
-        measure_begin_ = r.take_u64();
-        measure_end_ = r.take_u64();
-        series_enabled_ = r.take_bool();
-        offered_packets_ = r.take_u64();
-        offered_flits_ = r.take_u64();
-        injected_flits_ = r.take_u64();
-        ejected_packets_ = r.take_u64();
-        ejected_flits_ = r.take_u64();
-        ejected_network_flits_ = r.take_u64();
-        offered_packets_window_ = r.take_u64();
-        offered_flits_window_ = r.take_u64();
-        ejected_packets_window_ = r.take_u64();
-        ejected_flits_window_ = r.take_u64();
-        retransmits_ = r.take_u64();
-        dropped_packets_ = r.take_u64();
-        dropped_flits_ = r.take_u64();
-        if (r.take_u64() != injected_flits_per_subnet_.size())
-            throw ckpt::CkptError(
-                "checkpoint: per-subnet flit counter count mismatch");
-        for (std::uint64_t &f : injected_flits_per_subnet_)
-            f = r.take_u64();
-        total_latency_.Deserialize(r);
-        network_latency_.Deserialize(r);
-        hop_count_.Deserialize(r);
-        latency_hist_.Deserialize(r);
-        offered_series_.Deserialize(r);
-        accepted_series_.Deserialize(r);
-        if (r.take_u64() != subnet_series_.size())
-            throw ckpt::CkptError(
-                "checkpoint: subnet series count mismatch");
-        for (WindowedSeries &s : subnet_series_)
-            s.Deserialize(r);
     }
 
   private:

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "check/invariants.h"
-#include "ckpt/archive.h"
 #include "common/log.h"
 #include "fault/fault.h"
 #include "obs/trace_buffer.h"
@@ -270,48 +269,6 @@ MultiNoc::csc_percent() const
         static_cast<double>(a.compensated_sleep_cycles) /
         static_cast<double>(denom);
     return 100.0 * csc; // per-period clamping keeps this non-negative
-}
-
-CATNAP_PHASE_READ void
-MultiNoc::Serialize(ckpt::Writer &w) const
-{
-    w.put_u64(now_);
-    rng_.Serialize(w);
-    metrics_.Serialize(w);
-    congestion_.Serialize(w);
-    for (const auto &subnet : routers_)
-        for (const auto &r : subnet)
-            r->Serialize(w);
-    for (const auto &ni : nis_)
-        ni->Serialize(w);
-    selector_->Serialize(w);
-    gating_->Serialize(w);
-    w.put_bool(fault_ != nullptr);
-    if (fault_)
-        fault_->Serialize(w);
-}
-
-CATNAP_PHASE_WRITE void
-MultiNoc::Deserialize(ckpt::Reader &r)
-{
-    now_ = r.take_u64();
-    rng_.Deserialize(r);
-    metrics_.Deserialize(r);
-    congestion_.Deserialize(r);
-    for (auto &subnet : routers_)
-        for (auto &router : subnet)
-            router->Deserialize(r);
-    for (auto &ni : nis_)
-        ni->Deserialize(r);
-    selector_->Deserialize(r);
-    gating_->Deserialize(r);
-    const bool has_fault = r.take_bool();
-    if (has_fault != (fault_ != nullptr))
-        throw ckpt::CkptError(
-            "checkpoint: fault-controller presence mismatch — the "
-            "checkpoint was taken with a different fault plan");
-    if (fault_)
-        fault_->Deserialize(r);
 }
 
 } // namespace catnap

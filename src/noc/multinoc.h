@@ -16,7 +16,6 @@
 #include "catnap/congestion.h"
 #include "catnap/gating.h"
 #include "catnap/subnet_select.h"
-#include "ckpt/fwd.h"
 #include "common/phase.h"
 #include "common/rng.h"
 #include "common/types.h"
@@ -228,23 +227,6 @@ class MultiNoc
             }
         }
     }
-
-    // -- Checkpointing (src/ckpt; DESIGN.md §13) ---------------------------
-
-    /**
-     * Appends the complete evolving network state: clock, root RNG,
-     * metrics, congestion detector, every router and NI, the selector
-     * and gating policies, and (when a fault plan is configured) the
-     * fault controller. Construction-time wiring — topology, neighbour
-     * pointers, adapters, sinks — is not serialized; Restore builds
-     * a fresh MultiNoc from the same config and overwrites only data
-     * state via Deserialize().
-     */
-    CATNAP_COLD_PATH CATNAP_PHASE_READ void Serialize(ckpt::Writer &w) const;
-
-    /** Restores what Serialize() wrote into a MultiNoc constructed from
-     * the identical configuration. */
-    CATNAP_COLD_PATH CATNAP_PHASE_WRITE void Deserialize(ckpt::Reader &r);
 
   private:
     MultiNocConfig cfg_;

@@ -18,7 +18,6 @@
 #include <memory>
 #include <vector>
 
-#include "ckpt/fwd.h"
 #include "common/phase.h"
 #include "common/types.h"
 #include "noc/buffer.h"
@@ -187,19 +186,6 @@ class NetworkInterface
     {
         return static_cast<int>(eject_events_.size());
     }
-
-    // -- Checkpointing (src/ckpt; DESIGN.md §13) ---------------------------
-
-    /**
-     * Appends every data member that evolves during simulation (stash,
-     * queue, streaming slots, credit mirror, in-flight events, delivery
-     * tracking). Wiring (routers, selector, sinks, fault controller,
-     * adapters) is rebuilt by the MultiNoc constructor on restore.
-     */
-    CATNAP_COLD_PATH CATNAP_PHASE_READ void Serialize(ckpt::Writer &w) const;
-
-    /** Restores what Serialize() wrote into an identically configured NI. */
-    CATNAP_COLD_PATH CATNAP_PHASE_WRITE void Deserialize(ckpt::Reader &r);
 
   private:
     /** Per-subnet packet-streaming slot. */

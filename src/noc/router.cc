@@ -4,7 +4,6 @@
 #include <bit>
 #include <limits>
 
-#include "ckpt/codec.h"
 #include "common/log.h"
 #include "noc/routing.h"
 
@@ -868,136 +867,6 @@ Router::arrival_lag_histogram(Direction inport, Cycle now,
         ++hist[static_cast<std::size_t>(capped)];
     }
     return hist;
-}
-
-CATNAP_PHASE_READ void
-Router::Serialize(ckpt::Writer &w) const
-{
-    w.put_u64(fifos_.size());
-    for (const RingFifo<Flit> &f : fifos_)
-        ckpt::put_fifo(w, f, ckpt::put_flit);
-
-    w.put_u64(vc_state_.size());
-    for (const InputVcState &v : vc_state_) {
-        w.put_bool(v.active);
-        w.put_i32(static_cast<int>(v.out_dir));
-        w.put_i32(v.out_vc);
-        w.put_u64(v.head_since);
-    }
-
-    ckpt::put_vec_i64(w, out_owner_);
-    ckpt::put_vec_i32(w, out_credits_);
-    ckpt::put_vec_i32(w, va_rr_);
-    ckpt::put_vec_i32(w, sa_input_rr_);
-    ckpt::put_vec_i32(w, sa_output_rr_);
-
-    w.put_u64(arrivals_.size());
-    for (const Arrival &a : arrivals_) {
-        w.put_u64(a.ready);
-        w.put_i32(static_cast<int>(a.inport));
-        ckpt::put_flit(w, a.flit);
-    }
-
-    w.put_u64(credit_events_.size());
-    for (const CreditEvent &c : credit_events_) {
-        w.put_u64(c.ready);
-        w.put_i32(static_cast<int>(c.port));
-        w.put_i32(c.vc);
-    }
-
-    w.put_i32(static_cast<int>(power_state_));
-    w.put_u64(wake_done_);
-    w.put_u64(sleep_start_);
-    w.put_i64(csc_credited_);
-    w.put_i64(net_credited_);
-    w.put_bool(wake_requested_);
-    w.put_i32(expected_packets_);
-    w.put_i32(idle_streak_);
-    w.put_bool(failed_);
-    w.put_bool(wake_stuck_);
-    w.put_i32(total_buffered_);
-
-    for (const PortPower &p : port_power_) {
-        w.put_i32(static_cast<int>(p.state));
-        w.put_u64(p.wake_done);
-        w.put_u64(p.sleep_start);
-        w.put_i64(p.csc_credited);
-        w.put_i64(p.net_credited);
-        w.put_i32(p.idle_streak);
-        w.put_i32(p.expected);
-        w.put_bool(p.wake_requested);
-    }
-
-    w.put_u64(head_block_cycles_);
-    w.put_u64(switched_flits_);
-    activity_.Serialize(w);
-}
-
-CATNAP_PHASE_WRITE void
-Router::Deserialize(ckpt::Reader &r)
-{
-    ckpt::take_count_exact(r, fifos_.size(), "router input FIFO");
-    nonempty_ = 0;
-    for (std::size_t i = 0; i < fifos_.size(); ++i) {
-        ckpt::take_fifo(r, fifos_[i], ckpt::take_flit);
-        if (!fifos_[i].empty())
-            nonempty_ |= slot_bit(i);
-    }
-
-    ckpt::take_count_exact(r, vc_state_.size(), "router VC state");
-    for (InputVcState &v : vc_state_) {
-        v.active = r.take_bool();
-        v.out_dir = static_cast<Direction>(r.take_i32());
-        v.out_vc = r.take_i32();
-        v.head_since = r.take_u64();
-    }
-
-    ckpt::take_vec_i64_exact(r, out_owner_, "router output owner");
-    ckpt::take_vec_i32_exact(r, out_credits_, "router output credit");
-    ckpt::take_vec_i32_exact(r, va_rr_, "router VA round-robin");
-    ckpt::take_vec_i32_exact(r, sa_input_rr_, "router SA input round-robin");
-    ckpt::take_vec_i32_exact(r, sa_output_rr_, "router SA output round-robin");
-
-    arrivals_.resize(static_cast<std::size_t>(r.take_u64()));
-    for (Arrival &a : arrivals_) {
-        a.ready = r.take_u64();
-        a.inport = static_cast<Direction>(r.take_i32());
-        a.flit = ckpt::take_flit(r);
-    }
-
-    credit_events_.resize(static_cast<std::size_t>(r.take_u64()));
-    for (CreditEvent &c : credit_events_) {
-        c.ready = r.take_u64();
-        c.port = static_cast<Direction>(r.take_i32());
-        c.vc = r.take_i32();
-    }
-
-    power_state_ = static_cast<PowerState>(r.take_i32());
-    wake_done_ = r.take_u64();
-    sleep_start_ = r.take_u64();
-    csc_credited_ = r.take_i64();
-    net_credited_ = r.take_i64();
-    wake_requested_ = r.take_bool();
-    expected_packets_ = r.take_i32();
-    idle_streak_ = r.take_i32();
-    failed_ = r.take_bool();
-    wake_stuck_ = r.take_bool();
-    total_buffered_ = r.take_i32();
-
-    for (PortPower &p : port_power_) {
-        p.state = static_cast<PowerState>(r.take_i32());
-        p.wake_done = r.take_u64();
-        p.sleep_start = r.take_u64();
-        p.csc_credited = r.take_i64();
-        p.net_credited = r.take_i64();
-        p.idle_streak = r.take_i32();
-        p.expected = r.take_i32();
-        p.wake_requested = r.take_bool();
-    }
-
-    head_block_cycles_ = r.take_u64();
-    switched_flits_ = r.take_u64();
-    activity_.Deserialize(r);
 }
 
 } // namespace catnap

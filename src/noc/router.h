@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ckpt/fwd.h"
 #include "common/phase.h"
 #include "common/types.h"
 #include "noc/buffer.h"
@@ -348,22 +347,6 @@ class Router
     {
         unsafe_sleep_for_test_ = on;
     }
-
-    // ------------------------------------------------------------------
-    // Checkpointing (src/ckpt; DESIGN.md §13)
-    // ------------------------------------------------------------------
-
-    /**
-     * Appends every data member that evolves during simulation (buffers,
-     * allocation state, in-flight events, power FSM, counters). Wiring
-     * (neighbours, NI client, trace sink) and test-only hooks are not
-     * serialized: the MultiNoc constructor rebuilds them on restore.
-     */
-    CATNAP_COLD_PATH CATNAP_PHASE_READ void Serialize(ckpt::Writer &w) const;
-
-    /** Restores what Serialize() wrote into an identically configured
-     * router. */
-    CATNAP_COLD_PATH CATNAP_PHASE_WRITE void Deserialize(ckpt::Reader &r);
 
   private:
     /** Per-input-VC packet-in-progress state. */

@@ -76,7 +76,8 @@ struct ActivityCounters
     /** Zeroes every counter. */
     void reset() { *this = ActivityCounters(); }
 
-    /** Appends every counter to a checkpoint (DESIGN.md §13). */
+    /** Appends every counter to @p w in declaration order: the byte
+     * layout of perfbench's state digest, so it stays fixed. */
     CATNAP_COLD_PATH CATNAP_PHASE_READ void
     Serialize(ckpt::Writer &w) const
     {
@@ -95,27 +96,6 @@ struct ActivityCounters
         w.put_u64(port_sleep_transitions);
         w.put_i64(port_compensated_sleep_cycles);
         w.put_i64(port_net_sleep_savings_cycles);
-    }
-
-    /** Restores every counter from a checkpoint. */
-    CATNAP_COLD_PATH CATNAP_PHASE_WRITE void
-    Deserialize(ckpt::Reader &r)
-    {
-        buffer_writes = r.take_u64();
-        buffer_reads = r.take_u64();
-        xbar_traversals = r.take_u64();
-        link_flits = r.take_u64();
-        arb_ops = r.take_u64();
-        ni_flits = r.take_u64();
-        active_cycles = r.take_u64();
-        sleep_cycles = r.take_u64();
-        sleep_transitions = r.take_u64();
-        compensated_sleep_cycles = r.take_i64();
-        net_sleep_savings_cycles = r.take_i64();
-        port_sleep_cycles = r.take_u64();
-        port_sleep_transitions = r.take_u64();
-        port_compensated_sleep_cycles = r.take_i64();
-        port_net_sleep_savings_cycles = r.take_i64();
     }
 };
 

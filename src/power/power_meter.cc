@@ -1,6 +1,5 @@
 #include "power/power_meter.h"
 
-#include "ckpt/codec.h"
 #include "common/log.h"
 #include "noc/multinoc.h"
 #include "power/voltage.h"
@@ -174,39 +173,6 @@ analytic_network_power(int num_nodes, int num_subnets, int width_bits,
                 static_cast<double>(num_nodes) *
                 static_cast<double>(num_subnets - 1);
     return total;
-}
-
-CATNAP_PHASE_READ void
-PowerMeter::Serialize(ckpt::Writer &w) const
-{
-    w.put_u64(start_.size());
-    for (const ActivityCounters &a : start_)
-        a.Serialize(w);
-    w.put_u64(start_or_transitions_);
-    w.put_u64(start_cycle_);
-}
-
-CATNAP_PHASE_WRITE void
-PowerMeter::Deserialize(ckpt::Reader &r)
-{
-    // A meter is empty before begin() and holds one snapshot per router
-    // after; a restored meter may land in either state, so the size
-    // comes from the archive — but only the two legal sizes are
-    // accepted.
-    const std::uint64_t n = r.take_u64();
-    const std::size_t per_router =
-        static_cast<std::size_t>(net_.num_subnets()) *
-        static_cast<std::size_t>(net_.num_nodes());
-    if (n != 0 && n != per_router)
-        throw ckpt::CkptError(
-            "checkpoint: power-meter snapshot count " + std::to_string(n) +
-            " matches neither 0 nor the router count " +
-            std::to_string(per_router));
-    start_.assign(static_cast<std::size_t>(n), ActivityCounters{});
-    for (ActivityCounters &a : start_)
-        a.Deserialize(r);
-    start_or_transitions_ = r.take_u64();
-    start_cycle_ = r.take_u64();
 }
 
 } // namespace catnap

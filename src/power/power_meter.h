@@ -71,20 +71,6 @@ class PowerMeter
     /** Supply voltage being modeled. */
     double vdd() const { return vdd_; }
 
-    // -- Checkpointing (src/ckpt; DESIGN.md §13) ---------------------------
-
-    /**
-     * Appends the open measurement interval (start snapshot, start
-     * cycle), so a run checkpointed mid-measurement resumes with its
-     * power accounting intact. The network binding and energy model are
-     * reconstructed from configuration.
-     */
-    CATNAP_COLD_PATH CATNAP_PHASE_READ void Serialize(ckpt::Writer &w) const;
-
-    /** Restores what Serialize() wrote into a meter bound to the
-     * identically configured network. */
-    CATNAP_COLD_PATH CATNAP_PHASE_WRITE void Deserialize(ckpt::Reader &r);
-
   private:
     PowerBreakdown compute(bool include_dynamic, bool include_static) const;
 

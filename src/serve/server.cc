@@ -71,7 +71,7 @@ ServeServer::ServeServer(const ServeConfig &cfg) : cfg_(cfg)
         proc_ = std::make_unique<ProcRunner>(popts);
     }
 
-    cache_ = std::make_unique<ResultCache>(cfg_.cache);
+    cache_ = std::make_unique<ResultStore>(cfg_.cache);
     stats_.restored_records = cache_->restored();
     stats_.restored_discarded_bytes = cache_->restored_discarded();
 
@@ -404,26 +404,17 @@ ServeServer::resolve_points(const std::vector<RunItem> &items)
             for (const std::size_t i : todo) {
                 const std::uint64_t key = keys[i];
                 std::vector<std::uint8_t> payload;
-                if (cache_->lookup(key, payload)) {
-                    bool valid = true;
-                    try {
-                        // Validate before serving: a corrupt record,
-                        // trailing bytes included, is re-executed,
-                        // never replayed.
-                        ckpt::Reader r(payload);
-                        (void)take_synth_result(r);
-                        r.expect_exhausted();
-                    } catch (const ckpt::CkptError &) {
-                        valid = false;
-                    }
-                    if (valid) {
-                        // Sealed under the point hash, so the client
-                        // re-validates that these bytes answer the
-                        // point it sent.
-                        answers[i].status = ServedStatus::kHit;
-                        answers[i].image = ckpt::seal(key, payload);
-                        continue;
-                    }
+                SyntheticResult decoded;
+                // Validate before serving: a corrupt record, trailing
+                // bytes included, is re-executed, never replayed.
+                if (cache_->lookup(key, payload) &&
+                    decode_synth_result(payload, decoded)) {
+                    // Sealed under the point hash, so the client
+                    // re-validates that these bytes answer the point
+                    // it sent.
+                    answers[i].status = ServedStatus::kHit;
+                    answers[i].image = ckpt::seal(key, payload);
+                    continue;
                 }
                 if (inflight_.find(key) != inflight_.end()) {
                     waiting.push_back(i);

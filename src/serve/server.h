@@ -6,7 +6,8 @@
  * frames (serve/frame.h). A sweep request carries sealed point-spec
  * images (exec/point_codec.h); every point is keyed
  * by its 64-bit "PNT1" identity hash and answered from the persistent
- * result cache (serve/cache.h) when possible. Misses run one point per
+ * result cache — the ResultStore of exec/result_store.h, the same store
+ * a local sweep's `--journal` uses — when possible. Misses run one point per
  * SweepRunner job through one per-point executor that returns a
  * PointReport: run_point_in_process() by default, or
  * ProcRunner::run_point() under ServeExecPolicy::isolate (a supervised
@@ -45,9 +46,9 @@
 #include <vector>
 
 #include "exec/proc_runner.h"
+#include "exec/result_store.h"
 #include "exec/sweep_runner.h"
 #include "obs/event.h"
-#include "serve/cache.h"
 #include "serve/frame.h"
 
 namespace catnap {
@@ -83,8 +84,8 @@ struct ServeConfig
     /** Unix-domain socket path to listen on. Required. */
     std::string socket_path;
 
-    /** Result-cache backing file and bound (serve/cache.h). */
-    CacheConfig cache;
+    /** Result-cache backing file and bound (exec/result_store.h). */
+    StoreConfig cache;
 
     ServeExecPolicy exec;
 
@@ -141,7 +142,7 @@ class ServeServer
     void emit(TraceEvent ev);
 
     ServeConfig cfg_;
-    std::unique_ptr<ResultCache> cache_;
+    std::unique_ptr<ResultStore> cache_;
     std::unique_ptr<ProcRunner> proc_; ///< the isolate backend, else null
     int listen_fd_ = -1;
 

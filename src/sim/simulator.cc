@@ -47,21 +47,10 @@ SyntheticRun::step()
 }
 
 void
-SyntheticRun::maybe_autosave()
-{
-    if (autosave_every_ == 0 || autosave_path_.empty())
-        return;
-    if (net_->now() % autosave_every_ == 0)
-        save_checkpoint(autosave_path_);
-}
-
-void
 SyntheticRun::run_warmup()
 {
-    while (net_->now() < params_.warmup) {
+    while (net_->now() < params_.warmup)
         step();
-        maybe_autosave();
-    }
 }
 
 SyntheticResult
@@ -69,19 +58,12 @@ SyntheticRun::finish()
 {
     const Cycle m_end = params_.warmup + params_.measure;
 
-    // Measurement. A run restored mid-measurement keeps its open
-    // interval (meter baseline and offered/ejected counts) instead of
-    // re-opening it, which is what makes resume bit-identical.
-    if (!measuring_) {
-        meter_->begin();
-        offered0_ = net_->metrics().offered_packets();
-        ejected0_ = net_->metrics().ejected_packets();
-        measuring_ = true;
-    }
-    while (net_->now() < m_end) {
+    // Measurement.
+    meter_->begin();
+    const std::uint64_t offered0 = net_->metrics().offered_packets();
+    const std::uint64_t ejected0 = net_->metrics().ejected_packets();
+    while (net_->now() < m_end)
         step();
-        maybe_autosave();
-    }
     net_->finalize_accounting();
     const std::uint64_t offered1 = net_->metrics().offered_packets();
     const std::uint64_t ejected1 = net_->metrics().ejected_packets();
@@ -97,9 +79,9 @@ SyntheticRun::finish()
 
     const double node_cycles = static_cast<double>(params_.measure) *
                                static_cast<double>(net_->num_nodes());
-    res.offered_rate = static_cast<double>(offered1 - offered0_) /
+    res.offered_rate = static_cast<double>(offered1 - offered0) /
                        node_cycles;
-    res.accepted_rate = static_cast<double>(ejected1 - ejected0_) /
+    res.accepted_rate = static_cast<double>(ejected1 - ejected0) /
                         node_cycles;
 
     // Drain: stop generating and let in-flight window packets finish so
@@ -137,28 +119,6 @@ SyntheticRun::finish()
     return res;
 }
 
-CATNAP_PHASE_READ void
-SyntheticRun::serialize_run(ckpt::Writer &w) const
-{
-    net_->Serialize(w);
-    gen_->Serialize(w);
-    w.put_bool(measuring_);
-    w.put_u64(offered0_);
-    w.put_u64(ejected0_);
-    meter_->Serialize(w);
-}
-
-CATNAP_PHASE_WRITE void
-SyntheticRun::deserialize_run(ckpt::Reader &r)
-{
-    net_->Deserialize(r);
-    gen_->Deserialize(r);
-    measuring_ = r.take_bool();
-    offered0_ = r.take_u64();
-    ejected0_ = r.take_u64();
-    meter_->Deserialize(r);
-}
-
 std::uint64_t
 run_config_hash(const MultiNocConfig &cfg, std::uint32_t domain,
                 const SyntheticConfig &traffic, const RunParams &params)
@@ -179,38 +139,6 @@ run_config_hash(const MultiNocConfig &cfg, std::uint32_t domain,
     h.mix_bool(params.voltage_scaling);
     h.mix_u64(params.seed);
     return h.value();
-}
-
-std::uint64_t
-SyntheticRun::run_hash() const
-{
-    // Domain tag "RUN1": run-level checkpoints embed harness state on
-    // top of the network payload, so they must never open as (or be
-    // opened by) bare-network checkpoints.
-    return run_config_hash(cfg_, 0x4e555231u, traffic_, params_);
-}
-
-void
-SyntheticRun::save_checkpoint(const std::string &path) const
-{
-    ckpt::Writer w;
-    serialize_run(w);
-    ckpt::write_file(path, ckpt::seal(run_hash(), w.bytes()));
-}
-
-std::unique_ptr<SyntheticRun>
-SyntheticRun::restore_checkpoint(const MultiNocConfig &net_cfg,
-                                 const SyntheticConfig &traffic,
-                                 const RunParams &params,
-                                 const std::string &path)
-{
-    auto run = std::make_unique<SyntheticRun>(net_cfg, traffic, params);
-    const std::vector<std::uint8_t> payload =
-        ckpt::open(run->run_hash(), ckpt::read_file(path));
-    ckpt::Reader r(payload);
-    run->deserialize_run(r);
-    r.expect_exhausted();
-    return run;
 }
 
 SyntheticResult

@@ -10,7 +10,6 @@
 #include <memory>
 #include <string>
 
-#include "ckpt/fwd.h"
 #include "noc/multinoc.h"
 #include "power/power_meter.h"
 #include "traffic/synthetic.h"
@@ -80,13 +79,12 @@ struct SyntheticResult
 double config_vdd(const MultiNocConfig &cfg, const RunParams &params);
 
 /**
- * One synthetic experiment as a resumable object: the phases of
- * run_synthetic() split apart so a run can be checkpointed to disk
- * mid-flight and restored (DESIGN.md §13).
+ * One synthetic experiment, split into its phases so a caller can
+ * inspect the network between warm-up and measurement.
  *
- * The canonical sequence — construct, run_warmup(), finish() — executes
- * exactly the statements run_synthetic() always ran, in the same order,
- * so results are bit-identical to the historical monolithic path.
+ * The sequence — construct, run_warmup(), finish() — executes exactly
+ * the statements run_synthetic() runs, in the same order, so results
+ * are bit-identical to it.
  */
 class SyntheticRun
 {
@@ -97,60 +95,15 @@ class SyntheticRun
     /** Advances to the end of the warm-up phase (no-op once past it). */
     void run_warmup();
 
-    /**
-     * Runs measurement and drain, then assembles the result. On a run
-     * restored mid-measurement, continues the open measurement interval
-     * instead of restarting it.
-     */
+    /** Runs measurement and drain, then assembles the result. */
     SyntheticResult finish();
-
-    /**
-     * Saves the complete mid-run state (network, traffic generator,
-     * measurement bookkeeping) as a sealed checkpoint file. The config
-     * hash covers the network config plus traffic and phase parameters,
-     * so a run checkpoint only restores into the identical experiment.
-     */
-    void save_checkpoint(const std::string &path) const;
-
-    /**
-     * Resumes a run saved by save_checkpoint(). @p net_cfg, @p traffic,
-     * and @p params must equal the saving run's (hash-enforced).
-     * Finishing the restored run reproduces the uninterrupted run's
-     * result exactly.
-     */
-    static std::unique_ptr<SyntheticRun>
-    restore_checkpoint(const MultiNocConfig &net_cfg,
-                       const SyntheticConfig &traffic,
-                       const RunParams &params, const std::string &path);
-
-    /** Overwrites @p path every @p every cycles during warm-up and
-     * measurement (0 disables). Saving never perturbs the run. */
-    void
-    set_autosave(std::string path, Cycle every)
-    {
-        autosave_path_ = std::move(path);
-        autosave_every_ = every;
-    }
 
     MultiNoc &net() { return *net_; }
     const MultiNoc &net() const { return *net_; }
     Cycle now() const { return net_->now(); }
 
   private:
-    /** Appends the run payload (network, generator, harness section). */
-    CATNAP_PHASE_READ void serialize_run(ckpt::Writer &w) const;
-
-    /** Restores what serialize_run() wrote into an identically
-     * constructed run. */
-    CATNAP_PHASE_WRITE void deserialize_run(ckpt::Reader &r);
-
-    /** Config hash of run-level checkpoints: the network config hash
-     * extended with a domain tag, the traffic config, and the phase
-     * parameters (warm-up length included, per DESIGN.md §13). */
-    std::uint64_t run_hash() const;
-
     void step();
-    void maybe_autosave();
 
     MultiNocConfig cfg_;
     SyntheticConfig traffic_;
@@ -159,21 +112,13 @@ class SyntheticRun
     std::unique_ptr<MultiNoc> net_;
     std::unique_ptr<SyntheticTraffic> gen_;
     std::unique_ptr<PowerMeter> meter_;
-    /** True once the measurement interval is open (meter begun and the
-     * offered/ejected baselines captured). */
-    bool measuring_ = false;
-    std::uint64_t offered0_ = 0;
-    std::uint64_t ejected0_ = 0;
-    std::string autosave_path_;
-    Cycle autosave_every_ = 0;
 };
 
 /**
  * The identity hash of one run: ckpt::mix_config over @p cfg, the
  * @p domain tag, then every traffic and phase field (observability
- * hooks excluded). SyntheticRun's checkpoint hash ("RUN1") and the
- * sweep point hash ("PNT1", exec/point_codec.h) both use this one
- * field list, so neither can drift from the other.
+ * hooks excluded). The sweep point hash ("PNT1", exec/point_codec.h)
+ * is this hash under its own domain tag.
  */
 std::uint64_t run_config_hash(const MultiNocConfig &cfg,
                               std::uint32_t domain,

@@ -1,6 +1,5 @@
 #include "traffic/pattern.h"
 
-#include "ckpt/archive.h"
 #include "common/log.h"
 
 namespace catnap {
@@ -49,18 +48,6 @@ class UniformRandomPattern final : public TrafficPattern
         if (d >= src)
             ++d;
         return d;
-    }
-
-    CATNAP_PHASE_READ void
-    Serialize(ckpt::Writer &w) const override
-    {
-        rng_.Serialize(w);
-    }
-
-    CATNAP_PHASE_WRITE void
-    Deserialize(ckpt::Reader &r) override
-    {
-        rng_.Deserialize(r);
     }
 
   private:
@@ -150,18 +137,6 @@ class HotspotPattern final : public TrafficPattern
         if (d >= src)
             ++d;
         return d;
-    }
-
-    CATNAP_PHASE_READ void
-    Serialize(ckpt::Writer &w) const override
-    {
-        rng_.Serialize(w);
-    }
-
-    CATNAP_PHASE_WRITE void
-    Deserialize(ckpt::Reader &r) override
-    {
-        rng_.Deserialize(r);
     }
 
   private:

@@ -10,7 +10,6 @@
 #include <memory>
 #include <string>
 
-#include "ckpt/fwd.h"
 #include "common/phase.h"
 #include "common/rng.h"
 #include "common/types.h"
@@ -48,26 +47,6 @@ class TrafficPattern
      * load).
      */
     virtual NodeId destination(NodeId src) = 0;
-
-    // -- Checkpointing (src/ckpt; DESIGN.md §13) ---------------------------
-
-    /**
-     * Appends the pattern's evolving state — the RNG for randomized
-     * patterns. The default is a no-op: permutation patterns are fixed
-     * maps rebuilt from the configuration.
-     */
-    CATNAP_COLD_PATH CATNAP_PHASE_READ virtual void
-    Serialize(ckpt::Writer &w) const
-    {
-        (void)w;
-    }
-
-    /** Restores what Serialize() wrote (no-op for fixed patterns). */
-    CATNAP_COLD_PATH CATNAP_PHASE_WRITE virtual void
-    Deserialize(ckpt::Reader &r)
-    {
-        (void)r;
-    }
 };
 
 /**

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ckpt/codec.h"
 #include "common/log.h"
 #include "noc/multinoc.h"
 #include "traffic/trace.h"
@@ -98,38 +97,6 @@ SyntheticTraffic::step(Cycle now)
         net_->offer_packet(pkt);
         ++generated_;
     }
-}
-
-CATNAP_PHASE_READ void
-SyntheticTraffic::Serialize(ckpt::Writer &w) const
-{
-    pattern_->Serialize(w);
-    w.put_u64(node_rng_.size());
-    for (const Rng &rng : node_rng_)
-        rng.Serialize(w);
-    w.put_u64(node_phase_.size());
-    for (const NodePhase &p : node_phase_) {
-        w.put_bool(p.on);
-        w.put_u64(p.until);
-    }
-    w.put_u64(next_id_);
-    w.put_u64(generated_);
-}
-
-CATNAP_PHASE_WRITE void
-SyntheticTraffic::Deserialize(ckpt::Reader &r)
-{
-    pattern_->Deserialize(r);
-    ckpt::take_count_exact(r, node_rng_.size(), "traffic node RNG");
-    for (Rng &rng : node_rng_)
-        rng.Deserialize(r);
-    ckpt::take_count_exact(r, node_phase_.size(), "traffic burst phase");
-    for (NodePhase &p : node_phase_) {
-        p.on = r.take_bool();
-        p.until = r.take_u64();
-    }
-    next_id_ = r.take_u64();
-    generated_ = r.take_u64();
 }
 
 } // namespace catnap

@@ -12,7 +12,6 @@
 #include <memory>
 #include <vector>
 
-#include "ckpt/fwd.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "noc/flit.h"
@@ -93,22 +92,6 @@ class SyntheticTraffic
 
     /** Packets generated so far. */
     std::uint64_t generated() const { return generated_; }
-
-    // -- Checkpointing (src/ckpt; DESIGN.md §13) ---------------------------
-
-    /**
-     * Appends the generator's evolving state (pattern RNG, per-node
-     * streams, burst phases, packet id counter). A custom LoadSchedule
-     * installed via set_schedule() is NOT serialized: constant-load
-     * generators (the default) restore exactly; schedule-driven runs
-     * must re-install their schedule after restore, which is pure
-     * (cycle -> load) and therefore resumes bit-identically.
-     */
-    CATNAP_COLD_PATH CATNAP_PHASE_READ void Serialize(ckpt::Writer &w) const;
-
-    /** Restores what Serialize() wrote into a generator built with the
-     * same config and network. */
-    CATNAP_COLD_PATH CATNAP_PHASE_WRITE void Deserialize(ckpt::Reader &r);
 
   private:
     struct NodePhase

@@ -1,8 +1,8 @@
 /**
  * @file
- * libFuzzer harness for the checkpoint container reader surfaces
- * (DESIGN.md §13/§15): every byte stream a worker, journal, or
- * checkpoint file could hand us must either decode cleanly or throw
+ * libFuzzer harness for the sealed-container reader surfaces
+ * (DESIGN.md §15/§17): every byte stream a worker, journal, cache
+ * file or socket could hand us must either decode cleanly or throw
  * ckpt::CkptError — never read out of bounds, never crash, never
  * allocate from unvalidated lengths.
  *

@@ -1,47 +1,23 @@
 /**
  * @file
- * Checkpoint subsystem tests (src/ckpt, DESIGN.md §13): container
- * validation (magic/version/hash/truncation/CRC), byte-identical
- * round-trips, and mid-run save/resume identity.
+ * Tests for src/ckpt: the archive primitives, the pinned config and
+ * point hashes, sealed-container validation
+ * (magic/version/hash/truncation/CRC), and the CJL1 journal scan.
  */
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
-#include "app/system.h"
 #include "ckpt/archive.h"
 #include "ckpt/checkpoint.h"
 #include "ckpt/journal.h"
 #include "exec/point_codec.h"
-#include "fault/fault.h"
 #include "noc/multinoc.h"
 #include "sim/simulator.h"
-#include "traffic/synthetic.h"
 
 namespace catnap {
 namespace {
-
-/** Serializes @p net into a fresh byte buffer. */
-std::vector<std::uint8_t>
-net_bytes(const MultiNoc &net)
-{
-    ckpt::Writer w;
-    net.Serialize(w);
-    return w.bytes();
-}
-
-/** Drives @p net with @p gen for @p cycles cycles. */
-void
-run_traffic(MultiNoc &net, SyntheticTraffic &gen, Cycle cycles)
-{
-    const Cycle end = net.now() + cycles;
-    while (net.now() < end) {
-        gen.step(net.now());
-        net.tick();
-    }
-}
 
 /** A small-but-busy config exercising gating, selection, and the RCS. */
 MultiNocConfig
@@ -50,65 +26,6 @@ test_config()
     MultiNocConfig cfg = multi_noc_config(4, GatingKind::kCatnap);
     cfg.seed = 99;
     return cfg;
-}
-
-/** test_config() plus a fault plan with scheduled and probabilistic
- * faults, so the fault controller's full state rides along. */
-MultiNocConfig
-faulty_config()
-{
-    MultiNocConfig cfg = test_config();
-    cfg.fault.kill_router(900, 3, 40)
-        .lose_wakes(400, 1, 10, 300)
-        .glitch_rcs(600, 2, 20);
-    cfg.fault.rcs_glitch_prob = 0.002;
-    cfg.fault.wake_loss_prob = 0.01;
-    return cfg;
-}
-
-/** Scratch file that cleans up after itself. */
-class TempFile
-{
-  public:
-    explicit TempFile(const std::string &name) : path_(name) {}
-    ~TempFile() { std::remove(path_.c_str()); }
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
-
-/** Expects every field of two synthetic results to match exactly
- * (doubles compared bit-for-bit — the identity contract is not
- * "approximately equal", it is "the same computation"). */
-void
-expect_identical(const SyntheticResult &a, const SyntheticResult &b)
-{
-    EXPECT_EQ(a.config_label, b.config_label);
-    EXPECT_EQ(a.offered_load, b.offered_load);
-    EXPECT_EQ(a.offered_rate, b.offered_rate);
-    EXPECT_EQ(a.accepted_rate, b.accepted_rate);
-    EXPECT_EQ(a.avg_latency, b.avg_latency);
-    EXPECT_EQ(a.avg_net_latency, b.avg_net_latency);
-    EXPECT_EQ(a.p50_latency, b.p50_latency);
-    EXPECT_EQ(a.p99_latency, b.p99_latency);
-    EXPECT_EQ(a.csc_percent, b.csc_percent);
-    EXPECT_EQ(a.vdd, b.vdd);
-    EXPECT_EQ(a.measured_packets, b.measured_packets);
-    EXPECT_EQ(a.drained, b.drained);
-    EXPECT_EQ(a.retransmits, b.retransmits);
-    EXPECT_EQ(a.dropped_packets, b.dropped_packets);
-    EXPECT_EQ(a.faults_fired, b.faults_fired);
-    EXPECT_EQ(a.subnet_failures, b.subnet_failures);
-    EXPECT_EQ(a.power.buffer, b.power.buffer);
-    EXPECT_EQ(a.power.crossbar, b.power.crossbar);
-    EXPECT_EQ(a.power.control, b.power.control);
-    EXPECT_EQ(a.power.clock, b.power.clock);
-    EXPECT_EQ(a.power.link, b.power.link);
-    EXPECT_EQ(a.power.ni, b.power.ni);
-    EXPECT_EQ(a.power.or_net, b.power.or_net);
-    EXPECT_EQ(a.power_static.buffer, b.power_static.buffer);
-    EXPECT_EQ(a.power_static.link, b.power_static.link);
 }
 
 // -- Archive primitives ----------------------------------------------------
@@ -202,7 +119,7 @@ TEST(CkptHash, SensitiveToEveryInterestingField)
 
 TEST(CkptHash, PinnedValues)
 {
-    // These hashes key every on-disk cache, journal and checkpoint, so
+    // These hashes key every on-disk store record and sealed image, so
     // they are pinned to literals: a change to any hashed field list,
     // domain tag or mixing order breaks every file already written and
     // must show up here, not as silent cache misses.
@@ -218,17 +135,6 @@ TEST(CkptHash, PinnedValues)
 
     const std::vector<std::uint8_t> spec = encode_point_spec(item);
     EXPECT_EQ(ckpt::crc32(spec.data(), spec.size()), 0x894ca553u);
-
-    // The run-checkpoint hash sits at bytes 8-15 of the container.
-    TempFile f("pinned_run.ckpt");
-    SyntheticRun(item.cfg, item.traffic, item.params)
-        .save_checkpoint(f.path());
-    const std::vector<std::uint8_t> image = ckpt::read_file(f.path());
-    ASSERT_GE(image.size(), 16u);
-    std::uint64_t run_hash = 0;
-    for (int i = 0; i < 8; ++i)
-        run_hash |= static_cast<std::uint64_t>(image[8 + i]) << (8 * i);
-    EXPECT_EQ(run_hash, 0xc07cc56a9423f7c8ull);
 }
 
 // -- Container validation --------------------------------------------------
@@ -309,156 +215,6 @@ TEST(CkptContainer, RejectsBitFlipViaCrc)
         EXPECT_NE(std::string(e.what()).find("CRC mismatch"),
                   std::string::npos);
     }
-}
-
-// -- Network round-trips ---------------------------------------------------
-
-TEST(CkptNet, SerializeRoundTripIsByteIdentical)
-{
-    const MultiNocConfig cfg = test_config();
-    MultiNoc net(cfg);
-    SyntheticConfig traffic;
-    traffic.load = 0.15;
-    SyntheticTraffic gen(&net, traffic, 7);
-    run_traffic(net, gen, 800);
-
-    const std::vector<std::uint8_t> before = net_bytes(net);
-
-    MultiNoc copy(cfg);
-    ckpt::Reader r(before);
-    copy.Deserialize(r);
-    r.expect_exhausted();
-
-    EXPECT_EQ(net_bytes(copy), before);
-    EXPECT_EQ(copy.now(), net.now());
-}
-
-TEST(CkptNet, FileSaveRestoreRoundTrip)
-{
-    const MultiNocConfig cfg = faulty_config();
-    MultiNoc net(cfg);
-    SyntheticConfig traffic;
-    traffic.load = 0.20;
-    SyntheticTraffic gen(&net, traffic, 11);
-    run_traffic(net, gen, 1000); // past the router kill at cycle 900
-    ASSERT_NE(net.fault(), nullptr);
-
-    TempFile f("test_ckpt_net.bin");
-    ckpt::Save(net, f.path());
-    std::unique_ptr<MultiNoc> restored = ckpt::Restore(cfg, f.path());
-
-    EXPECT_EQ(net_bytes(*restored), net_bytes(net));
-    ASSERT_NE(restored->fault(), nullptr);
-    EXPECT_EQ(restored->fault()->faults_fired(),
-              net.fault()->faults_fired());
-
-    // Restoring under a different config must fail on the hash.
-    MultiNocConfig other = cfg;
-    other.seed += 1;
-    EXPECT_THROW(ckpt::Restore(other, f.path()), ckpt::CkptError);
-
-    // Restoring under a config without the fault plan must fail too.
-    MultiNocConfig no_fault = cfg;
-    no_fault.fault = FaultPlan{};
-    no_fault.fault.wake_loss_prob = 0.0;
-    EXPECT_THROW(ckpt::Restore(no_fault, f.path()), ckpt::CkptError);
-}
-
-// -- Mid-run save / resume -------------------------------------------------
-
-/** Short fig10-style phases so the resume tests stay fast. */
-RunParams
-short_params()
-{
-    RunParams rp;
-    rp.warmup = 300;
-    rp.measure = 600;
-    rp.drain_max = 4000;
-    rp.seed = 4242;
-    return rp;
-}
-
-TEST(CkptResume, WarmupCheckpointReproducesUninterruptedRun)
-{
-    const MultiNocConfig cfg = test_config();
-    SyntheticConfig traffic;
-    traffic.load = 0.12;
-    const RunParams rp = short_params();
-
-    const SyntheticResult uninterrupted = run_synthetic(cfg, traffic, rp);
-
-    TempFile f("test_ckpt_warm.bin");
-    SyntheticRun first(cfg, traffic, rp);
-    first.run_warmup();
-    first.save_checkpoint(f.path());
-
-    auto resumed =
-        SyntheticRun::restore_checkpoint(cfg, traffic, rp, f.path());
-    EXPECT_EQ(resumed->now(), rp.warmup);
-    expect_identical(resumed->finish(), uninterrupted);
-}
-
-TEST(CkptResume, MidMeasurementAutosaveReproducesUninterruptedRun)
-{
-    MultiNocConfig cfg = faulty_config();
-    SyntheticConfig traffic;
-    traffic.load = 0.18;
-    const RunParams rp = short_params();
-
-    TempFile f("test_ckpt_mid.bin");
-    SyntheticRun first(cfg, traffic, rp);
-    // Saves at cycles 500 and 750: the last overwrite lands
-    // mid-measurement (warmup 300 + measure 600 = 900).
-    first.set_autosave(f.path(), 250);
-    first.run_warmup();
-    const SyntheticResult uninterrupted = first.finish();
-
-    auto resumed =
-        SyntheticRun::restore_checkpoint(cfg, traffic, rp, f.path());
-    EXPECT_EQ(resumed->now(), Cycle{750});
-    resumed->run_warmup(); // no-op past warm-up
-    expect_identical(resumed->finish(), uninterrupted);
-
-    // A resumed run under different phase lengths must be rejected.
-    RunParams other = rp;
-    other.measure += 1;
-    EXPECT_THROW(
-        SyntheticRun::restore_checkpoint(cfg, traffic, other, f.path()),
-        ckpt::CkptError);
-}
-
-// -- Closed-loop CMP system ------------------------------------------------
-
-TEST(CkptApp, CmpSystemRoundTripAndBehavioralIdentity)
-{
-    const MultiNocConfig cfg = multi_noc_config(4, GatingKind::kCatnap);
-    const WorkloadMix mix = medium_heavy_mix();
-
-    CmpSystem a(cfg, mix, SystemParams());
-    a.run(500);
-
-    ckpt::Writer w;
-    a.Serialize(w);
-
-    CmpSystem b(cfg, mix, SystemParams());
-    ckpt::Reader r(w.bytes());
-    b.Deserialize(r);
-    r.expect_exhausted();
-
-    ckpt::Writer wb;
-    b.Serialize(wb);
-    EXPECT_EQ(wb.bytes(), w.bytes());
-
-    // Same future from the restored state: advance both and compare
-    // bytes and headline metrics.
-    a.run(500);
-    b.run(500);
-    ckpt::Writer wa2, wb2;
-    a.Serialize(wa2);
-    b.Serialize(wb2);
-    EXPECT_EQ(wa2.bytes(), wb2.bytes());
-    EXPECT_EQ(a.total_retired(), b.total_retired());
-    EXPECT_EQ(a.misses_completed(), b.misses_completed());
 }
 
 // ---------------------------------------------------------------------

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the execution engine (src/exec/): thread pool, the
- * deterministic batch runner, and the crash-isolated subprocess backend.
+ * deterministic batch runner, the result store behind --journal and the
+ * daemon cache, and the crash-isolated subprocess backend.
  *
  * The load-bearing guarantee is pinned by ExecSweep.*: the parallel
  * sweep must be *byte-identical* to the serial loop for any --jobs
@@ -24,6 +25,7 @@
 #include <sys/stat.h>
 
 #include "exec/proc_runner.h"
+#include "exec/result_store.h"
 #include "exec/sweep_runner.h"
 #include "exec/thread_pool.h"
 #include "obs/trace_buffer.h"
@@ -298,6 +300,204 @@ TEST(ExecSweep, ExceptionMidSweepPropagatesAfterBatchDrains)
 }
 
 // ---------------------------------------------------------------------
+// ResultStore: the journal and the daemon cache (exec/result_store.h)
+// ---------------------------------------------------------------------
+
+/** A fresh, empty directory under the test temp dir. */
+std::string
+fresh_dir(const std::string &tag)
+{
+    const std::string dir = ::testing::TempDir() + "catnap_store_" + tag;
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir;
+}
+
+std::vector<std::uint8_t>
+payload_of(char fill, std::size_t n)
+{
+    return std::vector<std::uint8_t>(n, static_cast<std::uint8_t>(fill));
+}
+
+/** A store opened on @p path (the --journal file). */
+StoreConfig
+journal_at(const std::string &path)
+{
+    StoreConfig sc;
+    sc.path = path;
+    return sc;
+}
+
+TEST(ExecStore, InsertsLooksUpAndCounts)
+{
+    ResultStore store(StoreConfig{}); // memory-only
+    EXPECT_EQ(store.entries(), 0u);
+    EXPECT_FALSE(store.contains(1));
+
+    store.insert(1, payload_of('a', 10));
+    store.insert(2, payload_of('b', 20));
+    EXPECT_EQ(store.entries(), 2u);
+    EXPECT_EQ(store.bytes(),
+              2 * ckpt::kJournalRecordHeaderBytes + 10u + 20u);
+
+    std::vector<std::uint8_t> got;
+    ASSERT_TRUE(store.lookup(1, got));
+    EXPECT_EQ(got, payload_of('a', 10));
+
+    // Re-insert replaces the payload without growing the entry count.
+    store.insert(1, payload_of('c', 30));
+    EXPECT_EQ(store.entries(), 2u);
+    ASSERT_TRUE(store.lookup(1, got));
+    EXPECT_EQ(got, payload_of('c', 30));
+}
+
+TEST(ExecStore, SurvivesReopenBitForBit)
+{
+    const std::string dir = fresh_dir("reopen");
+    StoreConfig cfg;
+    cfg.path = dir + "/store.bin";
+    {
+        ResultStore store(cfg);
+        store.insert(7, payload_of('x', 100));
+        store.insert(9, payload_of('y', 50));
+    }
+    ResultStore again(cfg);
+    EXPECT_EQ(again.entries(), 2u);
+    EXPECT_EQ(again.restored(), 2u);
+    EXPECT_EQ(again.restored_discarded(), 0u);
+    std::vector<std::uint8_t> got;
+    ASSERT_TRUE(again.lookup(7, got));
+    EXPECT_EQ(got, payload_of('x', 100));
+}
+
+TEST(ExecStore, TornTailIsDiscardedThenCompacted)
+{
+    const std::string dir = fresh_dir("torn");
+    StoreConfig cfg;
+    cfg.path = dir + "/store.bin";
+    {
+        ResultStore store(cfg);
+        store.insert(1, payload_of('a', 40));
+        store.insert(2, payload_of('b', 40));
+    }
+    // Simulate a SIGKILL mid-append: garbage where a record started.
+    {
+        std::ofstream out(cfg.path, std::ios::binary | std::ios::app);
+        out.write("CJL1torn", 8);
+    }
+    {
+        ResultStore torn(cfg);
+        EXPECT_EQ(torn.entries(), 2u);
+        EXPECT_EQ(torn.restored(), 2u);
+        EXPECT_GT(torn.restored_discarded(), 0u);
+        std::vector<std::uint8_t> got;
+        ASSERT_TRUE(torn.lookup(2, got));
+        EXPECT_EQ(got, payload_of('b', 40));
+        // The compaction must leave an appendable file.
+        torn.insert(3, payload_of('c', 40));
+    }
+    // After the compacting reopen the file is fully intact again.
+    ResultStore clean(cfg);
+    EXPECT_EQ(clean.entries(), 3u);
+    EXPECT_EQ(clean.restored_discarded(), 0u);
+}
+
+TEST(ExecStore, EvictsOldestFirstPastTheByteBound)
+{
+    const std::string dir = fresh_dir("evict");
+    StoreConfig cfg;
+    cfg.path = dir + "/store.bin";
+    const std::uint64_t per =
+        ckpt::kJournalRecordHeaderBytes + 100u; // one record's cost
+    cfg.max_bytes = 3 * per;
+
+    ResultStore store(cfg);
+    for (std::uint64_t k = 1; k <= 5; ++k)
+        store.insert(k, payload_of(static_cast<char>('a' + k), 100));
+    EXPECT_EQ(store.entries(), 3u);
+    EXPECT_EQ(store.evicted(), 2u);
+    EXPECT_LE(store.bytes(), cfg.max_bytes);
+    EXPECT_FALSE(store.contains(1));
+    EXPECT_FALSE(store.contains(2));
+    EXPECT_TRUE(store.contains(3));
+    EXPECT_TRUE(store.contains(5));
+
+    // The bound also survives a reopen (the file was compacted).
+    ResultStore again(cfg);
+    EXPECT_EQ(again.entries(), 3u);
+    EXPECT_TRUE(again.contains(5));
+}
+
+TEST(ExecStore, NeverEvictsTheSoleJustInsertedEntry)
+{
+    StoreConfig cfg;
+    cfg.max_bytes = 8; // smaller than any record
+    ResultStore store(cfg);
+    store.insert(1, payload_of('a', 100));
+    EXPECT_TRUE(store.contains(1)); // kept despite exceeding the bound
+    store.insert(2, payload_of('b', 100));
+    EXPECT_TRUE(store.contains(2));
+    EXPECT_FALSE(store.contains(1)); // evicted by the next insert
+}
+
+
+TEST(ExecStore, InProcessJournalResumeReplaysGoldenRows)
+{
+    // The four fig10 configurations at load 0.01, at the harness's
+    // phase lengths (bench/fig10_synthetic_sweep.cc,
+    // bench::sweep_params()): rows 1, 10, 19 and 28 of
+    // results/golden/fig10.csv, which an older commit wrote.
+    RunParams rp;
+    rp.warmup = 1500;
+    rp.measure = 5000;
+    rp.drain_max = 6000;
+    SyntheticConfig traffic;
+    traffic.load = 0.01;
+    std::vector<RunItem> items;
+    for (const MultiNocConfig &cfg :
+         {single_noc_config(512),
+          multi_noc_config(4, GatingKind::kAlwaysOn,
+                           SelectorKind::kRoundRobin),
+          single_noc_config(512, GatingKind::kIdle),
+          multi_noc_config(4, GatingKind::kCatnap)})
+        items.push_back(RunItem{cfg, traffic, rp});
+
+    const std::string journal = fresh_dir("golden") + "/fig10.journal";
+    const PointExecutor in_process =
+        [](std::size_t, const RunItem &item, std::uint64_t) {
+            return run_point_in_process(item);
+        };
+    {
+        ResultStore store(journal_at(journal));
+        const ProcSweepResult first = run_points(items, 2, in_process,
+                                                 &store);
+        ASSERT_TRUE(first.ok());
+        EXPECT_EQ(first.completed, items.size());
+    }
+
+    ResultStore store(journal_at(journal));
+    EXPECT_EQ(store.restored(), items.size());
+    const ProcSweepResult resumed = run_points(
+        items, 2,
+        [](std::size_t index, const RunItem &, std::uint64_t) {
+            ADD_FAILURE() << "point " << index << " executed on resume";
+            return PointReport{};
+        },
+        &store);
+    ASSERT_TRUE(resumed.ok());
+    EXPECT_EQ(resumed.from_journal, items.size());
+    EXPECT_EQ(resumed.spawned, 0u);
+
+    std::ifstream golden(std::string(CATNAP_GOLDEN_DIR) + "/fig10.csv");
+    ASSERT_TRUE(golden) << "cannot read the fig10 golden";
+    std::string expected, line;
+    for (int row = 0; std::getline(golden, line); ++row)
+        if (row == 0 || row % 9 == 1)
+            expected += line + "\n";
+    EXPECT_EQ(to_csv(resumed.merged()), expected);
+}
+
+// ---------------------------------------------------------------------
 // ProcRunner: crash-isolated subprocess backend (DESIGN.md §15)
 // ---------------------------------------------------------------------
 
@@ -360,21 +560,40 @@ TEST(ExecProc, IsolatedSweepMatchesInProcessBitForBit)
     EXPECT_EQ(to_csv(sweep.merged()), to_csv(serial));
 }
 
+/** run_points() through @p runner's isolated executor, behind @p store
+ * (the journal; null = none), as catnap_sim --isolate runs a batch. */
+ProcSweepResult
+run_isolated(ProcRunner &runner, const std::vector<RunItem> &items,
+             ResultStore *store)
+{
+    return run_points(items, 0,
+                      [&runner](std::size_t index, const RunItem &item,
+                                std::uint64_t key) {
+                          return runner.run_point(index, item, key);
+                      },
+                      store);
+}
+
 TEST(ExecProc, ResumeReplaysJournalWithoutSpawning)
 {
     const auto items = proc_items({0.02, 0.05});
     ProcOptions po = proc_options("resume");
-    po.journal = po.scratch_dir + "/sweep.journal";
+    const std::string journal = po.scratch_dir + "/sweep.journal";
+    std::filesystem::remove(journal);
 
     ProcRunner first(po);
-    const ProcSweepResult fresh = first.run(items);
+    ProcSweepResult fresh;
+    {
+        ResultStore store(journal_at(journal));
+        fresh = run_isolated(first, items, &store);
+    }
     ASSERT_TRUE(fresh.ok());
     EXPECT_EQ(fresh.spawned, items.size());
 
-    po.resume = true;
     po.worker = "/nonexistent/worker"; // must never be needed
     ProcRunner second(po);
-    const ProcSweepResult resumed = second.run(items);
+    ResultStore store(journal_at(journal));
+    const ProcSweepResult resumed = run_isolated(second, items, &store);
     ASSERT_TRUE(resumed.ok());
     EXPECT_EQ(resumed.spawned, 0u);
     EXPECT_EQ(resumed.from_journal, items.size());
@@ -389,14 +608,17 @@ TEST(ExecProc, PartialJournalResumesOnlyMissingPoints)
     const auto two = proc_items({0.02, 0.05});
     const auto three = proc_items({0.02, 0.05, 0.08});
     ProcOptions po = proc_options("partial");
-    po.journal = po.scratch_dir + "/sweep.journal";
+    const std::string journal = po.scratch_dir + "/sweep.journal";
+    std::filesystem::remove(journal);
 
-    ProcRunner first(po);
-    ASSERT_TRUE(first.run(two).ok());
+    ProcRunner runner(po);
+    {
+        ResultStore store(journal_at(journal));
+        ASSERT_TRUE(run_isolated(runner, two, &store).ok());
+    }
 
-    po.resume = true;
-    ProcRunner second(po);
-    const ProcSweepResult resumed = second.run(three);
+    ResultStore store(journal_at(journal));
+    const ProcSweepResult resumed = run_isolated(runner, three, &store);
     ASSERT_TRUE(resumed.ok());
     EXPECT_EQ(resumed.from_journal, 2u);
     EXPECT_EQ(resumed.spawned, 1u);
@@ -405,18 +627,19 @@ TEST(ExecProc, PartialJournalResumesOnlyMissingPoints)
 
 TEST(ExecProc, JournalInsideFreshScratchDirIsCreated)
 {
-    // The journal lives inside a scratch directory that does not exist
-    // yet: the runner must create the directory before opening it.
+    // The journal lives inside a directory that does not exist yet:
+    // opening the store must create it.
     const auto items = proc_items({0.02});
     ProcOptions po = proc_options("fresh_scratch");
     std::filesystem::remove_all(po.scratch_dir);
-    po.journal = po.scratch_dir + "/sweep.journal";
+    const std::string journal = po.scratch_dir + "/sweep.journal";
 
+    ResultStore store(journal_at(journal));
     ProcRunner runner(po);
-    const ProcSweepResult sweep = runner.run(items);
+    const ProcSweepResult sweep = run_isolated(runner, items, &store);
     ASSERT_TRUE(sweep.ok());
     EXPECT_EQ(sweep.spawned, items.size());
-    EXPECT_TRUE(std::filesystem::exists(po.journal));
+    EXPECT_TRUE(std::filesystem::exists(journal));
 }
 
 TEST(ExecProc, CrashingWorkerIsQuarantinedAndClassified)

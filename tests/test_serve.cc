@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the sweep service (src/serve/): the frame and message
- * codecs, the persistent content-addressed result cache, and the daemon
- * itself over a real Unix-domain socket.
+ * codecs and the daemon itself over a real Unix-domain socket. The
+ * result store the daemon caches in is tested in test_exec.cc.
  *
  * The load-bearing guarantees pinned here:
  *   - hit-after-miss byte identity: a warm-cache sweep returns exactly
@@ -39,7 +39,6 @@
 #include "ckpt/journal.h"
 #include "exec/point_codec.h"
 #include "exec/sweep_runner.h"
-#include "serve/cache.h"
 #include "serve/client.h"
 #include "serve/frame.h"
 #include "serve/server.h"
@@ -49,7 +48,6 @@
 namespace catnap {
 namespace {
 
-using serve::CacheConfig;
 using serve::decode_frame;
 using serve::decode_reply;
 using serve::decode_request;
@@ -57,7 +55,6 @@ using serve::encode_frame;
 using serve::encode_reply;
 using serve::encode_request;
 using serve::FrameStatus;
-using serve::ResultCache;
 using serve::ServeClientOptions;
 using serve::ServeConfig;
 using serve::ServedPoint;
@@ -396,128 +393,6 @@ TEST(ServeReplyDecode, RejectsMalformedReplies)
                     "a truncated image");
     expect_rejected([&] { (void)decode_reply(short_stats); },
                     "stats.restored_discarded_bytes", "a truncated stats reply");
-}
-
-// ---------------------------------------------------------------------
-// Result cache
-// ---------------------------------------------------------------------
-
-std::vector<std::uint8_t>
-payload_of(char fill, std::size_t n)
-{
-    return std::vector<std::uint8_t>(n, static_cast<std::uint8_t>(fill));
-}
-
-TEST(ServeCache, InsertsLooksUpAndCounts)
-{
-    ResultCache cache(CacheConfig{}); // memory-only
-    EXPECT_EQ(cache.entries(), 0u);
-    EXPECT_FALSE(cache.contains(1));
-
-    cache.insert(1, payload_of('a', 10));
-    cache.insert(2, payload_of('b', 20));
-    EXPECT_EQ(cache.entries(), 2u);
-    EXPECT_EQ(cache.bytes(),
-              2 * ckpt::kJournalRecordHeaderBytes + 10u + 20u);
-
-    std::vector<std::uint8_t> got;
-    ASSERT_TRUE(cache.lookup(1, got));
-    EXPECT_EQ(got, payload_of('a', 10));
-
-    // Re-insert replaces the payload without growing the entry count.
-    cache.insert(1, payload_of('c', 30));
-    EXPECT_EQ(cache.entries(), 2u);
-    ASSERT_TRUE(cache.lookup(1, got));
-    EXPECT_EQ(got, payload_of('c', 30));
-}
-
-TEST(ServeCache, SurvivesReopenBitForBit)
-{
-    const std::string dir = fresh_dir("reopen");
-    CacheConfig cfg;
-    cfg.path = dir + "/cache.bin";
-    {
-        ResultCache cache(cfg);
-        cache.insert(7, payload_of('x', 100));
-        cache.insert(9, payload_of('y', 50));
-    }
-    ResultCache again(cfg);
-    EXPECT_EQ(again.entries(), 2u);
-    EXPECT_EQ(again.restored(), 2u);
-    EXPECT_EQ(again.restored_discarded(), 0u);
-    std::vector<std::uint8_t> got;
-    ASSERT_TRUE(again.lookup(7, got));
-    EXPECT_EQ(got, payload_of('x', 100));
-}
-
-TEST(ServeCache, TornTailIsDiscardedThenCompacted)
-{
-    const std::string dir = fresh_dir("torn");
-    CacheConfig cfg;
-    cfg.path = dir + "/cache.bin";
-    {
-        ResultCache cache(cfg);
-        cache.insert(1, payload_of('a', 40));
-        cache.insert(2, payload_of('b', 40));
-    }
-    // Simulate a SIGKILL mid-append: garbage where a record started.
-    {
-        std::ofstream out(cfg.path, std::ios::binary | std::ios::app);
-        out.write("CJL1torn", 8);
-    }
-    {
-        ResultCache torn(cfg);
-        EXPECT_EQ(torn.entries(), 2u);
-        EXPECT_EQ(torn.restored(), 2u);
-        EXPECT_GT(torn.restored_discarded(), 0u);
-        std::vector<std::uint8_t> got;
-        ASSERT_TRUE(torn.lookup(2, got));
-        EXPECT_EQ(got, payload_of('b', 40));
-        // The compaction must leave an appendable file.
-        torn.insert(3, payload_of('c', 40));
-    }
-    // After the compacting reopen the file is fully intact again.
-    ResultCache clean(cfg);
-    EXPECT_EQ(clean.entries(), 3u);
-    EXPECT_EQ(clean.restored_discarded(), 0u);
-}
-
-TEST(ServeCache, EvictsOldestFirstPastTheByteBound)
-{
-    const std::string dir = fresh_dir("evict");
-    CacheConfig cfg;
-    cfg.path = dir + "/cache.bin";
-    const std::uint64_t per =
-        ckpt::kJournalRecordHeaderBytes + 100u; // one record's cost
-    cfg.max_bytes = 3 * per;
-
-    ResultCache cache(cfg);
-    for (std::uint64_t k = 1; k <= 5; ++k)
-        cache.insert(k, payload_of(static_cast<char>('a' + k), 100));
-    EXPECT_EQ(cache.entries(), 3u);
-    EXPECT_EQ(cache.evicted(), 2u);
-    EXPECT_LE(cache.bytes(), cfg.max_bytes);
-    EXPECT_FALSE(cache.contains(1));
-    EXPECT_FALSE(cache.contains(2));
-    EXPECT_TRUE(cache.contains(3));
-    EXPECT_TRUE(cache.contains(5));
-
-    // The bound also survives a reopen (the file was compacted).
-    ResultCache again(cfg);
-    EXPECT_EQ(again.entries(), 3u);
-    EXPECT_TRUE(again.contains(5));
-}
-
-TEST(ServeCache, NeverEvictsTheSoleJustInsertedEntry)
-{
-    CacheConfig cfg;
-    cfg.max_bytes = 8; // smaller than any record
-    ResultCache cache(cfg);
-    cache.insert(1, payload_of('a', 100));
-    EXPECT_TRUE(cache.contains(1)); // kept despite exceeding the bound
-    cache.insert(2, payload_of('b', 100));
-    EXPECT_TRUE(cache.contains(2));
-    EXPECT_FALSE(cache.contains(1)); // evicted by the next insert
 }
 
 // ---------------------------------------------------------------------

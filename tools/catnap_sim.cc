@@ -63,14 +63,6 @@ usage(int code)
         "%s%s"
         "  --serve-stats SOCKET      print the daemon's statistics JSON\n"
         "                            and exit (no sweep)\n"
-        "checkpointing (synthetic single-run mode; DESIGN.md §13):\n"
-        "  --save-ckpt FILE          write a checkpoint at the end of\n"
-        "                            warm-up (or every --ckpt-every N\n"
-        "                            cycles, overwriting FILE)\n"
-        "  --load-ckpt FILE          resume from FILE and run to\n"
-        "                            completion; all other flags must\n"
-        "                            match the saving run (hash-checked)\n"
-        "  --ckpt-every N            periodic save interval in cycles\n"
         "observability (synthetic mode):\n"
         "  --trace-out FILE          write Chrome trace-event JSON\n"
         "                            (open in Perfetto / chrome://tracing)\n"
@@ -296,9 +288,6 @@ main(int argc, char **argv)
     std::vector<double> sweep_loads;
     BatchFlags batch;
     std::string csv_out;
-    std::string save_ckpt;
-    std::string load_ckpt;
-    Cycle ckpt_every = 0;
     std::string worker_spec;
     std::string worker_out;
     std::string serve_stats_socket;
@@ -359,13 +348,6 @@ main(int argc, char **argv)
             sweep_loads = parse_loads(a.c_str(), need_value(argc, argv, i));
         else if (a == "--csv")
             csv_out = need_value(argc, argv, i);
-        else if (a == "--save-ckpt")
-            save_ckpt = need_value(argc, argv, i);
-        else if (a == "--load-ckpt")
-            load_ckpt = need_value(argc, argv, i);
-        else if (a == "--ckpt-every")
-            ckpt_every = static_cast<Cycle>(parse_uint(
-                a.c_str(), need_value(argc, argv, i), 1000000000000ull));
         else if (a == "--trace-out")
             trace_out = need_value(argc, argv, i);
         else if (a == "--trace-jsonl")
@@ -475,9 +457,10 @@ main(int argc, char **argv)
                   "datapath per subnet");
     }
     batch.finish(argv[0]);
-    if ((batch.isolate || !batch.serve.empty()) &&
+    if ((batch.isolate || !batch.serve.empty() || !batch.journal.empty()) &&
         (mode != "synthetic" || sweep_loads.empty()))
-        usage_error("--isolate/--serve apply to synthetic --loads sweeps");
+        usage_error("--isolate/--serve/--journal apply to synthetic "
+                    "--loads sweeps");
     cfg.congestion.threshold =
         threshold >= 0.0
             ? threshold
@@ -491,9 +474,6 @@ main(int argc, char **argv)
             snapshot_every > 0)
             usage_error("tracing/snapshots record one run; not available "
                         "with --loads");
-        if (!save_ckpt.empty() || !load_ckpt.empty())
-            usage_error("checkpoints capture one run; not available with "
-                        "--loads");
         std::vector<RunItem> items;
         items.reserve(sweep_loads.size());
         for (const double load : sweep_loads) {
@@ -530,33 +510,7 @@ main(int argc, char **argv)
             rp.snapshots = snaps.get();
         }
 
-        std::unique_ptr<SyntheticRun> run;
-        try {
-            if (!load_ckpt.empty()) {
-                run = SyntheticRun::restore_checkpoint(cfg, traffic, rp,
-                                                       load_ckpt);
-                std::printf("checkpoint   : resumed %s at cycle %llu\n",
-                            load_ckpt.c_str(),
-                            static_cast<unsigned long long>(run->now()));
-            } else {
-                run = std::make_unique<SyntheticRun>(cfg, traffic, rp);
-            }
-            if (!save_ckpt.empty() && ckpt_every > 0)
-                run->set_autosave(save_ckpt, ckpt_every);
-            run->run_warmup();
-            if (!save_ckpt.empty() && ckpt_every == 0) {
-                run->save_checkpoint(save_ckpt);
-                std::printf(
-                    "checkpoint   : wrote %s at end of warm-up "
-                    "(cycle %llu)\n",
-                    save_ckpt.c_str(),
-                    static_cast<unsigned long long>(run->now()));
-            }
-        } catch (const ckpt::CkptError &e) {
-            std::fprintf(stderr, "%s\n", e.what());
-            return 1;
-        }
-        const SyntheticResult r = run->finish();
+        const SyntheticResult r = run_synthetic(cfg, traffic, rp);
         std::printf("config       : %s (%dx%d mesh, %s selector, %s)\n",
                     r.config_label.c_str(), cfg.mesh_width, cfg.mesh_height,
                     selector_kind_name(cfg.selector),

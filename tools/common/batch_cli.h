@@ -24,12 +24,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <unistd.h>
 
 #include "exec/proc_runner.h"
+#include "exec/result_store.h"
 #include "exec/sweep_runner.h"
 #include "serve/client.h"
 
@@ -164,7 +167,8 @@ inline constexpr const char *kBackendFlagsHelp =
     "                            in the build tree)\n"
     "  --scratch DIR             spec/result exchange directory\n"
     "  --journal FILE            append every finished point to a\n"
-    "                            CRC-checked journal (needs --isolate)\n"
+    "                            CRC-checked journal (in process or\n"
+    "                            with --isolate)\n"
     "  --resume                  replay the journal's intact records,\n"
     "                            run only missing points (needs\n"
     "                            --journal; output is bit-identical to\n"
@@ -189,7 +193,7 @@ struct BatchFlags
     std::string worker;
     /** Spec/result exchange directory for --isolate. */
     std::string scratch = ".catnap-scratch";
-    /** Journal path for --isolate; empty disables journalling. */
+    /** Journal path (a ResultStore file); empty disables it. */
     std::string journal;
     /** Replay the journal's intact records, run only missing points. */
     bool resume = false;
@@ -238,18 +242,16 @@ struct BatchFlags
     {
         if (resume && journal.empty())
             usage_error("--resume requires --journal FILE");
-        if (!journal.empty() && !isolate)
-            usage_error("--journal/--resume require --isolate");
-        if (!serve.empty() && isolate)
-            usage_error("--serve and --isolate are mutually exclusive "
+        if (!serve.empty() && (isolate || !journal.empty()))
+            usage_error("--serve excludes --isolate and --journal "
                         "(the daemon owns execution and persistence)");
         if (isolate && worker.empty())
             worker = default_worker(argv0);
     }
 };
 
-/** Results of a served or isolated batch; exits kExitQuarantine after
- * the deterministic summary when any point is quarantined. */
+/** Results of a batch; exits kExitQuarantine after the deterministic
+ * summary when any point is quarantined. */
 template <typename Sweep>
 std::vector<SyntheticResult>
 merged_or_exit(const Sweep &sweep)
@@ -263,8 +265,9 @@ merged_or_exit(const Sweep &sweep)
 
 /**
  * Runs @p items on the backend @p flags select and returns one result
- * per item, in item order, bit-identical across backends. Failures
- * exit with the code of the table above.
+ * per item, in item order, bit-identical across backends. Both local
+ * backends run through run_points(), behind the --journal store when
+ * one is given. Failures exit with the code of the table above.
  */
 inline std::vector<SyntheticResult>
 run_items(const std::vector<RunItem> &items, const BatchFlags &flags)
@@ -284,38 +287,53 @@ run_items(const std::vector<RunItem> &items, const BatchFlags &flags)
                      sweep.hits, sweep.misses, sweep.quarantined);
         return merged_or_exit(sweep);
     }
-    if (flags.isolate) {
-        ProcOptions po;
-        po.worker = flags.worker;
-        po.scratch_dir = flags.scratch;
-        po.journal = flags.journal;
-        po.resume = flags.resume;
-        po.jobs = flags.jobs;
-        po.max_retries = flags.point_retries;
-        po.timeout_ms = flags.point_timeout_ms;
-        ProcSweepResult sweep;
-        try {
-            sweep = ProcRunner(po).run(items);
-        } catch (const std::exception &e) {
-            // Supervisor faults (unusable scratch dir, spawn failure,
-            // journal I/O), not per-point failures, which quarantine.
-            std::fprintf(stderr, "[isolate] fatal: %s\n", e.what());
-            std::exit(kExitRuntime);
+    ProcSweepResult sweep;
+    try {
+        std::unique_ptr<ResultStore> journal;
+        if (!flags.journal.empty()) {
+            // Without --resume a stale journal may hold another sweep's
+            // points: start it afresh.
+            if (!flags.resume)
+                std::filesystem::remove(flags.journal);
+            StoreConfig sc;
+            sc.path = flags.journal;
+            journal = std::make_unique<ResultStore>(sc);
         }
+        PointExecutor exec = [](std::size_t, const RunItem &item,
+                                std::uint64_t) {
+            return run_point_in_process(item);
+        };
+        std::unique_ptr<ProcRunner> runner;
+        if (flags.isolate) {
+            ProcOptions po;
+            po.worker = flags.worker;
+            po.scratch_dir = flags.scratch;
+            po.max_retries = flags.point_retries;
+            po.timeout_ms = flags.point_timeout_ms;
+            runner = std::make_unique<ProcRunner>(po);
+            exec = [&runner](std::size_t index, const RunItem &item,
+                             std::uint64_t key) {
+                return runner->run_point(index, item, key);
+            };
+        }
+        sweep = run_points(items, flags.jobs, exec, journal.get());
+    } catch (const std::exception &e) {
+        // Supervisor faults (unusable scratch dir or journal, spawn
+        // failure), not per-point failures, which quarantine.
+        std::fprintf(stderr, "fatal: %s\n", e.what());
+        std::exit(kExitRuntime);
+    }
+    if (flags.isolate)
         std::fprintf(stderr,
                      "[isolate] %zu worker(s) spawned, %zu point(s) from "
                      "journal, %zu quarantined\n",
                      sweep.spawned, sweep.from_journal, sweep.quarantined);
-        return merged_or_exit(sweep);
-    }
-    ExecOptions eo;
-    eo.jobs = flags.jobs;
-    try {
-        return run_batch(items, eo);
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "fatal: %s\n", e.what());
-        std::exit(kExitRuntime);
-    }
+    else if (!flags.journal.empty())
+        std::fprintf(stderr,
+                     "[journal] %zu point(s) executed, %zu point(s) from "
+                     "journal, %zu quarantined\n",
+                     sweep.spawned, sweep.from_journal, sweep.quarantined);
+    return merged_or_exit(sweep);
 }
 
 } // namespace catnap::cli

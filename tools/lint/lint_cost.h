@@ -13,7 +13,7 @@
  *      locks, kernel calls) or whose control flow escapes the cycle
  *      barrier (throws), so one occurrence caps the tick rate and
  *      breaks the sharded core's bounded-cycle guarantee. Slow paths
- *      that legitimately allocate/IO/throw (checkpoint serialisation,
+ *      that legitimately allocate/IO/throw (counter serialisation,
  *      fault handling, invariant reporting) opt out with
  *      CATNAP_COLD_PATH at their entry declaration.
  *  L10 hot-path cost manifest — a deterministic per-method cost
