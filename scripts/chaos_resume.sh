@@ -42,8 +42,10 @@ done
 [ "$(journal_bytes)" -gt 0 ] || { echo "error: journal never grew" >&2; exit 1; }
 
 # SIGKILL one in-flight worker; the supervisor must retry it invisibly.
+# Only the supervisor's own children qualify: any other process whose
+# command line mentions the worker flag is not ours to kill.
 for _ in $(seq 1 50); do
-  WPID="$(pgrep -f -- '--worker-spec' | head -n 1 || true)"
+  WPID="$(pgrep -P "$SUP" -f -- '--worker-spec' | head -n 1 || true)"
   if [ -n "$WPID" ]; then
     kill -KILL "$WPID" 2>/dev/null || true
     echo "killed worker pid $WPID"

@@ -163,8 +163,7 @@ run_points(const std::vector<RunItem> &items, int jobs,
     }
 
     // Each point lands in the store as it finishes; the executors run
-    // concurrently, the store is serialised here.
-    std::mutex store_mutex;
+    // concurrently, and the store locks itself.
     ExecOptions eo;
     eo.jobs = jobs;
     SweepRunner(eo).run_jobs(pending.size(), [&](std::size_t p) {
@@ -175,7 +174,6 @@ run_points(const std::vector<RunItem> &items, int jobs,
             return;
         ckpt::Writer w;
         put_synth_result(w, out.points[idx].result);
-        std::lock_guard<std::mutex> lock(store_mutex);
         store->insert(keys[idx], w.bytes());
     });
 
@@ -247,10 +245,17 @@ ProcRunner::run_point(std::size_t index, const RunItem &item,
                               "--worker-spec", spec_path.c_str(),
                               "--worker-out",  out_path.c_str(),
                               nullptr};
+        // Each worker leads its own process group, so the watchdog's
+        // kill reaches anything the worker started as well.
+        posix_spawnattr_t attr;
+        ::posix_spawnattr_init(&attr);
+        ::posix_spawnattr_setflags(&attr, POSIX_SPAWN_SETPGROUP);
+        ::posix_spawnattr_setpgroup(&attr, 0);
         pid_t pid = -1;
         const int spawn_err =
-            ::posix_spawn(&pid, opts_.worker.c_str(), nullptr, nullptr,
+            ::posix_spawn(&pid, opts_.worker.c_str(), nullptr, &attr,
                           const_cast<char *const *>(argv), environ);
+        ::posix_spawnattr_destroy(&attr);
         if (spawn_err != 0) {
             throw std::runtime_error("proc: cannot spawn worker '" +
                                      opts_.worker +
@@ -282,7 +287,7 @@ ProcRunner::run_point(std::size_t index, const RunItem &item,
                     std::strerror(errno));
             }
             if (deadline != 0 && now_ms() >= deadline) {
-                ::kill(pid, SIGKILL);
+                ::kill(-pid, SIGKILL);
                 while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
                 }
                 timed_out = true;

@@ -20,9 +20,11 @@
  *     RunItem as a sealed spec file and writes its SyntheticResult as
  *     a sealed image (exec/point_codec.h), so a worker can neither
  *     corrupt the supervisor nor hand back bytes for the wrong point;
- *   - a wall-clock watchdog SIGKILLs workers that exceed the per-point
- *     budget; exit codes, signals, timeouts, and unreadable results
- *     are classified separately (PointFailKind);
+ *   - each worker leads its own process group, and a wall-clock
+ *     watchdog SIGKILLs the group of a worker that exceeds the
+ *     per-point budget, children included; exit codes, signals,
+ *     timeouts, and unreadable results are classified separately
+ *     (PointFailKind);
  *   - a failed point is retried with exponential backoff; a point that
  *     exhausts its budget is *quarantined* — recorded, skipped, and
  *     reported — while the rest of the sweep completes.
@@ -73,8 +75,8 @@ struct ProcOptions
     int max_retries = 2;
 
     /** Per-attempt wall-clock budget in milliseconds; a worker still
-     * running at the deadline is SIGKILLed and the attempt classified
-     * kTimeout. 0 = unlimited. */
+     * running at the deadline is SIGKILLed with its process group and
+     * the attempt classified kTimeout. 0 = unlimited. */
     std::int64_t timeout_ms = 0;
 
     /** Base retry delay in milliseconds, doubled per extra attempt

@@ -61,6 +61,7 @@ bool
 ResultStore::lookup(std::uint64_t key,
                     std::vector<std::uint8_t> &payload) const
 {
+    std::lock_guard<std::mutex> lock(mu_);
     const auto it = index_.find(key);
     if (it == index_.end())
         return false;
@@ -71,13 +72,36 @@ ResultStore::lookup(std::uint64_t key,
 bool
 ResultStore::contains(std::uint64_t key) const
 {
+    std::lock_guard<std::mutex> lock(mu_);
     return index_.find(key) != index_.end();
+}
+
+std::size_t
+ResultStore::entries() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return index_.size();
+}
+
+std::uint64_t
+ResultStore::bytes() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return bytes_;
+}
+
+std::uint64_t
+ResultStore::evicted() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return evicted_;
 }
 
 void
 ResultStore::insert(std::uint64_t key,
                     const std::vector<std::uint8_t> &payload)
 {
+    std::lock_guard<std::mutex> lock(mu_);
     auto [it, fresh] = index_.emplace(key, payload);
     if (fresh) {
         order_.push_back(key);

@@ -24,7 +24,9 @@
  * until the store fits, then compacts the file. The entry being
  * inserted is never evicted by its own insertion.
  *
- * Not thread-safe: callers serialise access behind their own mutex.
+ * Thread-safe: every member locks the store's own mutex, so the
+ * executors of one batch insert concurrently while another thread
+ * reads the counters.
  */
 #ifndef CATNAP_EXEC_RESULT_STORE_H
 #define CATNAP_EXEC_RESULT_STORE_H
@@ -33,6 +35,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -83,13 +86,13 @@ class ResultStore
     void insert(std::uint64_t key, const std::vector<std::uint8_t> &payload);
 
     /** Entries currently held. */
-    std::size_t entries() const { return index_.size(); }
+    std::size_t entries() const;
 
     /** Bytes of all held records (journal header + payload each). */
-    std::uint64_t bytes() const { return bytes_; }
+    std::uint64_t bytes() const;
 
     /** Entries evicted over this store's lifetime. */
-    std::uint64_t evicted() const { return evicted_; }
+    std::uint64_t evicted() const;
 
     /** Intact records rebuilt from the backing file at open. */
     std::uint64_t restored() const { return restored_; }
@@ -104,6 +107,7 @@ class ResultStore
     void compact();
 
     StoreConfig cfg_;
+    mutable std::mutex mu_; ///< everything below
     std::map<std::uint64_t, std::vector<std::uint8_t>> index_;
     std::deque<std::uint64_t> order_; ///< insertion order, oldest first
     std::uint64_t bytes_ = 0;

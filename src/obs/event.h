@@ -147,9 +147,10 @@ enum class EventKind : std::int8_t {
      * `cycle` is host microseconds] */
     kServeExec = 25,
 
-    /** Sweep service: a cache insert pushed the result cache past its
-     * byte bound and evicted oldest-first. [a=entries evicted,
-     * b=entries still live; `cycle` is host microseconds] */
+    /** Sweep service: a sweep's cache inserts pushed the result cache
+     * past its byte bound and evicted oldest-first; one event per
+     * such sweep. [a=entries the sweep evicted, b=entries still live
+     * after it; `cycle` is host microseconds] */
     kServeEvict = 26,
 };
 

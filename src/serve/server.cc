@@ -1,5 +1,6 @@
 #include "serve/server.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -149,6 +150,10 @@ ServeServer::stop()
     }
     for (std::thread &t : handlers)
         t.join();
+    {
+        std::lock_guard<std::mutex> lock(threads_mu_);
+        finished_.clear(); // every handler has been joined
+    }
 
     if (listen_fd_ >= 0) {
         ::close(listen_fd_);
@@ -221,6 +226,7 @@ void
 ServeServer::accept_loop()
 {
     for (;;) {
+        reap_handlers();
         {
             std::lock_guard<std::mutex> lock(threads_mu_);
             if (!running_)
@@ -243,6 +249,27 @@ ServeServer::accept_loop()
         conn_fds_.insert(fd);
         conn_threads_.emplace_back([this, fd] { handle_connection(fd); });
     }
+}
+
+void
+ServeServer::reap_handlers()
+{
+    std::vector<std::thread> done;
+    {
+        std::lock_guard<std::mutex> lock(threads_mu_);
+        for (const std::thread::id id : finished_) {
+            const auto it = std::find_if(
+                conn_threads_.begin(), conn_threads_.end(),
+                [id](const std::thread &t) { return t.get_id() == id; });
+            done.push_back(std::move(*it));
+            conn_threads_.erase(it);
+        }
+        finished_.clear();
+    }
+    // Each has returned from handle_connection, so the joins are short;
+    // joining frees the thread's stack.
+    for (std::thread &t : done)
+        t.join();
 }
 
 void
@@ -279,9 +306,11 @@ ServeServer::handle_connection(int fd)
             }
         }
     }
-    ::close(fd);
     std::lock_guard<std::mutex> lock(threads_mu_);
+    // Closed under the lock, so stop() never shuts down a reused fd.
     conn_fds_.erase(fd);
+    ::close(fd);
+    finished_.push_back(std::this_thread::get_id());
 }
 
 ServeReply
@@ -327,205 +356,97 @@ ServeServer::handle_payload(const std::vector<std::uint8_t> &payload)
 ServeReply
 ServeServer::handle_sweep(const std::vector<RunItem> &items)
 {
-    ServeReply reply;
-    reply.kind = ServeReply::Kind::kResults;
-    reply.points = resolve_points(items);
-
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t quarantined = 0;
-    for (const ServedPoint &p : reply.points) {
-        switch (p.status) {
-        case ServedStatus::kHit:
-            ++hits;
-            break;
-        case ServedStatus::kMiss:
-            ++misses;
-            break;
-        case ServedStatus::kQuarantined:
-            ++quarantined;
-            break;
-        }
-    }
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        stats_.requests += 1;
-        stats_.points += reply.points.size();
-        stats_.hits += hits;
-        stats_.misses += misses;
-        stats_.quarantined += quarantined;
-    }
-
-    TraceEvent ev{};
-    ev.kind = EventKind::kServeRequest;
-    ev.node = static_cast<NodeId>(reply.points.size());
-    ev.a = static_cast<std::int32_t>(hits);
-    ev.b = static_cast<std::int32_t>(misses);
-    emit(ev);
-
-    write_stats_file();
-    return reply;
-}
-
-std::vector<ServedPoint>
-ServeServer::resolve_points(const std::vector<RunItem> &items)
-{
-    std::vector<ServedPoint> answers(items.size());
-    std::vector<std::uint64_t> keys(items.size());
-    for (std::size_t i = 0; i < items.size(); ++i)
-        keys[i] = point_hash(items[i]);
-
-    // A key that repeats within this request resolves once; later
-    // occurrences copy the first slot's answer at the end.
-    std::map<std::uint64_t, std::size_t> first_slot;
-    std::map<std::size_t, std::size_t> dup_of;
-    std::vector<std::size_t> todo;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        const auto [it, fresh] = first_slot.emplace(keys[i], i);
-        if (fresh)
-            todo.push_back(i);
-        else
-            dup_of.emplace(i, it->second);
-    }
-
-    // Single-flight resolution loop. Each round, under the lock: serve
-    // cache hits, claim every unclaimed miss, and set aside keys some
-    // other request is executing. Claims are executed *before* this
-    // thread ever blocks on the condition variable, so a request never
-    // holds an unexecuted claim while waiting on another request — two
-    // requests with interleaved point sets cannot deadlock. Waiters that
-    // find their key neither cached nor in flight afterwards (the owner
-    // quarantined it) claim it themselves next round and re-execute.
-    while (!todo.empty()) {
-        std::vector<std::size_t> pending;
-        std::vector<std::size_t> waiting;
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            for (const std::size_t i : todo) {
-                const std::uint64_t key = keys[i];
-                std::vector<std::uint8_t> payload;
-                SyntheticResult decoded;
-                // Validate before serving: a corrupt record, trailing
-                // bytes included, is re-executed, never replayed.
-                if (cache_->lookup(key, payload) &&
-                    decode_synth_result(payload, decoded)) {
-                    // Sealed under the point hash, so the client
-                    // re-validates that these bytes answer the point
-                    // it sent.
-                    answers[i].status = ServedStatus::kHit;
-                    answers[i].image = ckpt::seal(key, payload);
-                    continue;
-                }
-                if (inflight_.find(key) != inflight_.end()) {
-                    waiting.push_back(i);
-                } else {
-                    inflight_.insert(key);
-                    pending.push_back(i);
-                }
-            }
-            if (pending.empty() && !waiting.empty()) {
-                // Nothing of ours to run: block until some flight lands
-                // (spurious wakeups just re-run the round).
-                inflight_cv_.wait(lock);
-            }
-        }
-        if (!pending.empty())
-            execute_misses(items, keys, pending, answers);
-        todo = std::move(waiting);
-    }
-
-    for (const auto &[slot, first] : dup_of)
-        answers[slot] = answers[first];
-    return answers;
-}
-
-void
-ServeServer::execute_misses(const std::vector<RunItem> &items,
-                            const std::vector<std::uint64_t> &keys,
-                            const std::vector<std::size_t> &pending,
-                            std::vector<ServedPoint> &answers)
-{
-    ExecOptions eopts;
-    eopts.jobs = cfg_.exec.jobs;
-    SweepRunner(eopts).run_jobs(pending.size(), [&](std::size_t p) {
-        const std::size_t slot = pending[p];
+    // The configured backend's per-point executor, with a supervisor
+    // fault turned into a quarantine and every execution counted and
+    // traced.
+    const PointExecutor exec = [this](std::size_t index,
+                                      const RunItem &item,
+                                      std::uint64_t key) {
         PointReport rep;
         try {
-            rep = proc_ ? proc_->run_point(slot, items[slot], keys[slot])
-                        : run_point_in_process(items[slot]);
+            rep = proc_ ? proc_->run_point(index, item, key)
+                        : run_point_in_process(item);
         } catch (const std::exception &e) {
             // Supervisor-side fault (unrunnable worker, unwritable
             // scratch): the point quarantines with the reason.
+            rep.key = key;
             rep.failures.push_back({PointFailKind::kThrew, 0,
                                     std::string("executor failed: ") +
                                         e.what()});
         }
-        // Every claimed key reaches finish_point, or the single-flight
-        // table would wedge other requests forever.
-        finish_point(keys[slot], slot, rep, answers);
-    });
-}
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            stats_.executed += static_cast<std::uint64_t>(rep.attempts);
+            stats_.batches += 1;
+        }
+        TraceEvent ev{};
+        ev.kind = EventKind::kServeExec;
+        ev.node = static_cast<NodeId>(index);
+        ev.a = rep.attempts;
+        ev.b = rep.status == PointStatus::kQuarantined ? 1 : 0;
+        emit(ev);
+        return rep;
+    };
 
-void
-ServeServer::finish_point(std::uint64_t key, std::size_t slot,
-                          const PointReport &rep,
-                          std::vector<ServedPoint> &answers)
-{
-    // Slot @p slot is written only by this point's job.
-    ServedPoint &answer = answers[slot];
-    const bool ok = rep.status != PointStatus::kQuarantined;
-    ckpt::Writer result;
-    if (ok) {
+    // One sweep at a time: a later sweep for the same points waits here
+    // and then replays them from the cache (single-flight).
+    std::lock_guard<std::mutex> sweep(sweep_mu_);
+    const std::uint64_t evicted_before = cache_->evicted();
+    const ProcSweepResult run =
+        run_points(items, cfg_.exec.jobs, exec, cache_.get());
+
+    ServeReply reply;
+    reply.kind = ServeReply::Kind::kResults;
+    reply.points.resize(run.points.size());
+    for (std::size_t i = 0; i < run.points.size(); ++i) {
+        const PointReport &rep = run.points[i];
+        ServedPoint &answer = reply.points[i];
+        if (rep.status == PointStatus::kQuarantined) {
+            // Never cached: the next request re-executes it.
+            answer.status = ServedStatus::kQuarantined;
+            answer.error = "quarantined after " +
+                           std::to_string(rep.attempts) + " attempt(s)";
+            for (const PointFailure &f : rep.failures)
+                answer.error += "; " + f.message;
+            continue;
+        }
+        answer.status = rep.status == PointStatus::kFromJournal
+                            ? ServedStatus::kHit
+                            : ServedStatus::kMiss;
+        // Sealed under the point hash, so the client re-validates that
+        // these bytes answer the point it sent.
+        ckpt::Writer result;
         put_synth_result(result, rep.result);
-        answer.status = ServedStatus::kMiss;
-        answer.image = ckpt::seal(key, result.bytes());
-    } else {
-        answer.status = ServedStatus::kQuarantined;
-        answer.error = "quarantined after " + std::to_string(rep.attempts) +
-                       " attempt(s)";
-        for (const PointFailure &f : rep.failures)
-            answer.error += "; " + f.message;
+        answer.image = ckpt::seal(rep.key, result.bytes());
     }
 
-    std::size_t live_entries = 0;
-    std::uint64_t evicted_delta = 0;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        stats_.executed += static_cast<std::uint64_t>(rep.attempts);
-        stats_.batches += 1;
-        if (ok) {
-            const std::uint64_t evicted_before = cache_->evicted();
-            try {
-                // Inserted (and flushed) the moment the point finishes:
-                // a daemon killed right after this loses nothing.
-                cache_->insert(key, result.bytes());
-            } catch (const ckpt::CkptError &) {
-                // Disk trouble degrades durability, never the answer.
-            }
-            evicted_delta = cache_->evicted() - evicted_before;
-            live_entries = cache_->entries();
-        }
-        // A quarantined point is never cached: the next request
-        // re-executes it.
-        inflight_.erase(key);
+        stats_.requests += 1;
+        stats_.points += run.points.size();
+        stats_.hits += run.from_journal;
+        stats_.misses += run.completed;
+        stats_.quarantined += run.quarantined;
     }
-    // Waiters re-check the cache (hit) or re-claim (quarantined key).
-    inflight_cv_.notify_all();
 
     TraceEvent ev{};
-    ev.kind = EventKind::kServeExec;
-    ev.node = static_cast<NodeId>(slot);
-    ev.a = rep.attempts;
-    ev.b = ok ? 0 : 1;
+    ev.kind = EventKind::kServeRequest;
+    ev.node = static_cast<NodeId>(run.points.size());
+    ev.a = static_cast<std::int32_t>(run.from_journal);
+    ev.b = static_cast<std::int32_t>(run.completed);
     emit(ev);
 
-    if (evicted_delta > 0) {
+    const std::uint64_t evicted = cache_->evicted() - evicted_before;
+    if (evicted > 0) {
         ev = TraceEvent{};
         ev.kind = EventKind::kServeEvict;
-        ev.a = static_cast<std::int32_t>(evicted_delta);
-        ev.b = static_cast<std::int32_t>(live_entries);
+        ev.a = static_cast<std::int32_t>(evicted);
+        ev.b = static_cast<std::int32_t>(cache_->entries());
         emit(ev);
     }
+
+    write_stats_file();
+    return reply;
 }
 
 } // namespace serve

@@ -4,39 +4,43 @@
  *
  * The server listens on a local Unix-domain socket and answers binary
  * frames (serve/frame.h). A sweep request carries sealed point-spec
- * images (exec/point_codec.h); every point is keyed
- * by its 64-bit "PNT1" identity hash and answered from the persistent
- * result cache — the ResultStore of exec/result_store.h, the same store
- * a local sweep's `--journal` uses — when possible. Misses run one point per
- * SweepRunner job through one per-point executor that returns a
- * PointReport: run_point_in_process() by default, or
- * ProcRunner::run_point() under ServeExecPolicy::isolate (a supervised
- * catnap_sim worker subprocess with retry/backoff and quarantine).
- * On either backend each point lands in the cache, and releases its
- * single-flight waiters, the moment it finishes, so a daemon killed
- * mid-sweep loses at most the points in flight.
+ * images (exec/point_codec.h) and is answered by one run_points() call
+ * (exec/proc_runner.h) over the persistent result cache — the
+ * ResultStore of exec/result_store.h, the same store a local sweep's
+ * `--journal` uses: every point is keyed by its 64-bit "PNT1" identity
+ * hash, stored points replay, and misses run one point per SweepRunner
+ * job through one per-point executor: run_point_in_process() by
+ * default, or ProcRunner::run_point() under ServeExecPolicy::isolate (a
+ * supervised catnap_sim worker subprocess with retry/backoff and
+ * quarantine). On either backend each point lands in the cache the
+ * moment it finishes, so a daemon killed mid-sweep loses at most the
+ * points in flight.
  *
  * Concurrency contract:
- *   - one handler thread per connection; the cache, statistics, and
- *     single-flight table are serialised behind one mutex;
- *   - *single-flight*: concurrent requests for the same uncached point
- *     execute it exactly once — later requesters block until the owner
- *     finishes, then read the cache (provenance: hit);
+ *   - one handler thread per connection, joined by the accept loop
+ *     once its client disconnects;
+ *   - sweeps run one at a time behind the sweep mutex, each keeping
+ *     ServeExecPolicy::jobs workers busy; ping, stats and shutdown
+ *     never take it, so they answer while a sweep runs;
+ *   - *single-flight*: a request for a point another request is
+ *     executing waits on the sweep mutex, then replays the point from
+ *     the cache (provenance: hit), so each point executes once;
+ *   - the counters have their own mutex; the cache locks itself;
  *   - quarantined points are never inserted into the cache, so a
  *     transient failure (isolate mode) is retried by the next request
  *     instead of being served forever.
  *
  * Determinism contract: a result is encoded once (bit-exact doubles)
- * when its point first executes; every later response seals those same
- * cached bytes under the point hash, after checking that they decode
- * exactly (a record that does not is re-executed, never replayed). A
+ * when its point first executes; a later response decodes the cached
+ * bytes exactly (a record that does not is re-executed, never
+ * replayed) and re-encodes them, which gives back the same bytes, then
+ * seals them under the point hash. A
  * warm-cache sweep is therefore byte-identical to the serial in-process
  * run while executing zero simulation points.
  */
 #ifndef CATNAP_SERVE_SERVER_H
 #define CATNAP_SERVE_SERVER_H
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -126,17 +130,10 @@ class ServeServer
 
   private:
     void accept_loop();
+    void reap_handlers();
     void handle_connection(int fd);
     ServeReply handle_payload(const std::vector<std::uint8_t> &payload);
     ServeReply handle_sweep(const std::vector<RunItem> &items);
-    std::vector<ServedPoint> resolve_points(const std::vector<RunItem> &items);
-    void execute_misses(const std::vector<RunItem> &items,
-                        const std::vector<std::uint64_t> &keys,
-                        const std::vector<std::size_t> &pending,
-                        std::vector<ServedPoint> &answers);
-    void finish_point(std::uint64_t key, std::size_t slot,
-                      const PointReport &rep,
-                      std::vector<ServedPoint> &answers);
     ServeStats stats_locked() const;
     void write_stats_file();
     void emit(TraceEvent ev);
@@ -146,9 +143,8 @@ class ServeServer
     std::unique_ptr<ProcRunner> proc_; ///< the isolate backend, else null
     int listen_fd_ = -1;
 
-    mutable std::mutex mu_;            ///< cache + stats + single-flight
-    std::condition_variable inflight_cv_;
-    std::set<std::uint64_t> inflight_; ///< keys some request is executing
+    std::mutex sweep_mu_;              ///< one sweep at a time
+    mutable std::mutex mu_;            ///< stats_ + shutdown_requested_
     ServeStats stats_;
 
     std::mutex sink_mutex_;
@@ -156,6 +152,7 @@ class ServeServer
 
     std::mutex threads_mu_;            ///< conn bookkeeping
     std::vector<std::thread> conn_threads_;
+    std::vector<std::thread::id> finished_; ///< returned, not yet joined
     std::set<int> conn_fds_;
     std::thread accept_thread_;
     bool running_ = false;

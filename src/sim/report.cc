@@ -1,11 +1,20 @@
 #include "sim/report.h"
 
 #include <fstream>
+#include <limits>
 #include <ostream>
 
 #include "common/log.h"
 
 namespace catnap {
+
+namespace {
+
+/** Significant digits of every CSV double: enough that parsing the
+ * text gives back the exact bits. */
+constexpr int kCsvDigits = std::numeric_limits<double>::max_digits10;
+
+} // namespace
 
 void
 write_csv(std::ostream &os, const std::vector<SyntheticResult> &rows)
@@ -15,6 +24,7 @@ write_csv(std::ostream &os, const std::vector<SyntheticResult> &rows)
           "power_static,power_buffer,power_crossbar,power_control,"
           "power_clock,power_link,power_ni,power_ornet,"
           "measured_packets,drained,retransmits,dropped_packets\n";
+    const std::streamsize old = os.precision(kCsvDigits);
     for (const auto &r : rows) {
         os << r.config_label << ',' << r.offered_load << ','
            << r.offered_rate << ',' << r.accepted_rate << ','
@@ -28,6 +38,7 @@ write_csv(std::ostream &os, const std::vector<SyntheticResult> &rows)
            << (r.drained ? 1 : 0) << ',' << r.retransmits << ','
            << r.dropped_packets << '\n';
     }
+    os.precision(old);
 }
 
 void
@@ -35,12 +46,14 @@ write_csv(std::ostream &os, const std::vector<AppRunResult> &rows)
 {
     os << "config,workload,ipc,avg_latency,csc_percent,vdd,power_total,"
           "power_static\n";
+    const std::streamsize old = os.precision(kCsvDigits);
     for (const auto &r : rows) {
         os << r.config_label << ',' << r.workload << ',' << r.ipc << ','
            << r.avg_latency << ',' << r.csc_percent << ',' << r.vdd
            << ',' << r.power.total() << ',' << r.power_static.total()
            << '\n';
     }
+    os.precision(old);
 }
 
 namespace {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -23,6 +24,7 @@
 
 #include <signal.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include "exec/proc_runner.h"
 #include "exec/result_store.h"
@@ -693,10 +695,32 @@ TEST(ExecProc, SignalDeathIsClassifiedAsSignal)
     EXPECT_EQ(sweep.points[0].failures[0].detail, SIGKILL);
 }
 
+/** True once @p pid no longer runs: it is gone, or a zombie that only
+ * waits for its new parent to reap it. */
+bool
+process_gone(pid_t pid)
+{
+    if (::kill(pid, 0) != 0 && errno == ESRCH)
+        return true;
+    std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+    std::string line;
+    if (!std::getline(stat, line))
+        return true;
+    const std::size_t paren = line.rfind(')');
+    return paren != std::string::npos && paren + 2 < line.size() &&
+           line[paren + 2] == 'Z';
+}
+
 TEST(ExecProc, WatchdogKillsHungWorker)
 {
+    // The worker starts a child of its own and hangs in wait: the
+    // watchdog must kill the child too, or it would outlive the sweep.
     ProcOptions po = proc_options("hang");
-    po.worker = write_script(po.scratch_dir + "_worker.sh", "sleep 30");
+    const std::string child_pid = po.scratch_dir + "_child.pid";
+    ::unlink(child_pid.c_str());
+    po.worker = write_script(po.scratch_dir + "_worker.sh",
+                             "sleep 30 &\necho $! > '" + child_pid +
+                                 "'\nwait");
     po.max_retries = 0;
     po.timeout_ms = 200;
     ProcRunner runner(po);
@@ -710,6 +734,19 @@ TEST(ExecProc, WatchdogKillsHungWorker)
     EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(elapsed)
                   .count(),
               10);
+
+    pid_t child = 0;
+    std::ifstream(child_pid) >> child;
+    ASSERT_GT(child, 0) << "the worker never wrote its child's pid";
+    bool gone = process_gone(child);
+    for (int i = 0; i < 100 && !gone; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        gone = process_gone(child);
+    }
+    EXPECT_TRUE(gone) << "the worker's child " << child
+                      << " outlived the watchdog";
+    if (!gone)
+        ::kill(child, SIGKILL);
 }
 
 TEST(ExecProc, CorruptResultImageIsClassifiedBadResult)

@@ -40,10 +40,17 @@ TEST(Report, SyntheticCsvShape)
 
     std::ostringstream os;
     write_csv(os, {r, r});
+    EXPECT_EQ(os.precision(), 6); // the caller's precision is restored
     const auto lines = lines_of(os.str());
     ASSERT_EQ(lines.size(), 3u); // header + 2 rows
     EXPECT_NE(lines[0].find("config,load,"), std::string::npos);
-    EXPECT_NE(lines[1].find("4NT-128b-PG,0.1,"), std::string::npos);
+    // Doubles carry max_digits10 (17) significant digits, so the text
+    // parses back to the exact bits: 0.1 is 0.1000000000000000055...
+    EXPECT_NE(lines[1].find("4NT-128b-PG,0.10000000000000001,"
+                            "0.099000000000000005,"),
+              std::string::npos)
+        << lines[1];
+    EXPECT_NE(lines[1].find(",33.5,"), std::string::npos) << lines[1];
     EXPECT_EQ(lines[1], lines[2]);
     // Column count is stable (documented contract).
     const auto count_commas = [](const std::string &s) {
@@ -66,7 +73,9 @@ TEST(Report, AppCsvShape)
     write_csv(os, std::vector<AppRunResult>{r});
     const auto lines = lines_of(os.str());
     ASSERT_EQ(lines.size(), 2u);
-    EXPECT_NE(lines[1].find("1NT-512b,Heavy,0.77"), std::string::npos);
+    EXPECT_NE(lines[1].find("1NT-512b,Heavy,0.77000000000000002,"),
+              std::string::npos)
+        << lines[1];
 }
 
 TEST(Report, SaveCsvRejectsBadPath)

@@ -16,6 +16,8 @@
  *     even be spawned;
  *   - misses land in the cache per point as they finish, on both
  *     backends, not when the whole request finishes;
+ *   - ping and stats answer while a sweep runs, and a finished
+ *     connection's handler thread is joined, not kept;
  *   - a malformed frame or payload gets a precise error reply, never a
  *     crash or hang.
  */
@@ -25,6 +27,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -742,6 +745,94 @@ TEST(ServeServer, IsolatedMissesLandInTheCachePerPoint)
                            "request finished";
     ASSERT_TRUE(got.ok()) << got.quarantine_summary();
     EXPECT_EQ(to_csv(got.merged()), to_csv(run_batch(items)));
+    server.stop();
+}
+
+TEST(ServeServer, PingAndStatsAnswerWhileASweepRuns)
+{
+    const std::string dir = fresh_dir("lockspl");
+    // Every worker announces itself, then waits for the release file.
+    const std::string worker = dir + "/worker.sh";
+    const std::string started = dir + "/started";
+    const std::string release = dir + "/release";
+    {
+        std::ofstream out(worker);
+        out << "#!/bin/sh\n"
+            << ": > '" << started << "'\n"
+            << "while [ ! -e '" << release << "' ]; do sleep 0.02; done\n"
+            << "exec '" << CATNAP_SIM_PATH << "' \"$@\"\n";
+    }
+    ::chmod(worker.c_str(), 0755);
+
+    ServeConfig cfg = server_config(dir);
+    cfg.exec.jobs = 1;
+    cfg.exec.isolate = true;
+    cfg.exec.worker = worker;
+    cfg.exec.scratch = dir + "/scratch";
+    ServeServer server(cfg);
+    server.start();
+
+    const auto items = serve_items({0.02});
+    ServedSweep got;
+    std::thread client([&] {
+        got = serve::run_batch_served(items, client_options(cfg));
+    });
+    struct stat st{};
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (::stat(started.c_str(), &st) != 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+
+    // Answered over the socket while the sweep is still blocked in its
+    // worker; a ping or stats request stuck behind the sweep would time
+    // out here instead.
+    auto answers = std::async(std::launch::async, [&] {
+        const bool pong = serve::ping(client_options(cfg));
+        return std::make_pair(pong,
+                              serve::fetch_stats(client_options(cfg)));
+    });
+    const bool answered = answers.wait_for(std::chrono::seconds(10)) ==
+                          std::future_status::ready;
+    { std::ofstream touch(release); }
+    client.join();
+    ASSERT_TRUE(answered) << "ping/stats waited for the sweep";
+    const auto [pong, stats] = answers.get();
+    EXPECT_TRUE(pong);
+    EXPECT_EQ(stats.requests, 0u); // the sweep had not finished
+    ASSERT_TRUE(got.ok()) << got.quarantine_summary();
+    EXPECT_EQ(to_csv(got.merged()), to_csv(run_batch(items)));
+    server.stop();
+}
+
+/** This process's virtual size in kB (VmSize in /proc/self/status). */
+std::uint64_t
+vm_size_kb()
+{
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line))
+        if (line.rfind("VmSize:", 0) == 0)
+            return std::stoull(line.substr(7));
+    ADD_FAILURE() << "no VmSize in /proc/self/status";
+    return 0;
+}
+
+TEST(ServeServer, FinishedConnectionHandlersAreReaped)
+{
+    const ServeConfig cfg = server_config(fresh_dir("reap"));
+    ServeServer server(cfg);
+    server.start();
+    ASSERT_TRUE(serve::ping(client_options(cfg)));
+
+    // Each request opens its own connection; an unjoined handler would
+    // keep its whole thread stack mapped (about 8 MB each).
+    const std::uint64_t before = vm_size_kb();
+    for (int i = 0; i < 200; ++i)
+        ASSERT_TRUE(serve::ping(client_options(cfg))) << "cycle " << i;
+    const std::uint64_t after = vm_size_kb();
+    EXPECT_LT(after, before + 100 * 1024)
+        << "VmSize grew from " << before << " kB to " << after << " kB";
     server.stop();
 }
 

@@ -15,6 +15,11 @@
 #include <string>
 #include <vector>
 
+#ifdef __linux__
+#include <csignal>
+#include <sys/prctl.h>
+#endif
+
 #include "app/system.h"
 #include "ckpt/checkpoint.h"
 #include "common/batch_cli.h"
@@ -240,10 +245,19 @@ parse_loads(const char *flag, const std::string &value)
  * stdout — the supervisor owns all reporting — and fully sandboxed by
  * the process boundary: any throw, abort, or crash here is classified
  * by the supervisor, never propagated.
+ *
+ * The supervisor spawns each worker in a process group of its own, so
+ * a Ctrl-C aimed at the supervisor's group does not reach the worker.
+ * On Linux the worker therefore dies with the thread that spawned it
+ * instead, whether the supervisor is interrupted or killed (unless it
+ * died before the prctl below ran).
  */
 int
 run_worker(const std::string &spec_path, const std::string &out_path)
 {
+#ifdef __linux__
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+#endif
     try {
         const RunItem item = decode_point_spec(ckpt::read_file(spec_path));
         const SyntheticResult res =
