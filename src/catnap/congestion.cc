@@ -45,6 +45,8 @@ CongestionState::CongestionState(const ConcentratedMesh &mesh,
     rcs_latched_.assign(static_cast<std::size_t>(num_subnets) *
                             static_cast<std::size_t>(mesh.num_regions()),
                         false);
+    lcs_count_.assign(static_cast<std::size_t>(num_subnets), 0);
+    rcs_count_.assign(static_cast<std::size_t>(num_subnets), 0);
 }
 
 void
@@ -109,6 +111,8 @@ CongestionState::update(Cycle now)
 
     const int nodes = mesh_.num_nodes();
     for (SubnetId s = 0; s < num_subnets_; ++s) {
+        if (skipped_ && skipped_[s])
+            continue;
         for (NodeId n = 0; n < nodes; ++n) {
             const auto idx = index(n, s);
             auto &ns = samples_[idx];
@@ -117,13 +121,17 @@ CongestionState::update(Cycle now)
                           " subnet ", s);
             const double v = metric_value(ns, n, s, window_boundary);
             if (v > cfg_.threshold) {
-                if (sink_ && !lcs_[idx])
-                    sink_->on_event(
-                        {now, EventKind::kLcsSet, n, s, 0, 0, 0});
+                if (!lcs_[idx]) {
+                    ++lcs_count_[static_cast<std::size_t>(s)];
+                    if (sink_)
+                        sink_->on_event(
+                            {now, EventKind::kLcsSet, n, s, 0, 0, 0});
+                }
                 lcs_[idx] = true;
                 ns.lcs_set_until = now + static_cast<Cycle>(cfg_.lcs_hold);
-            } else if (now >= ns.lcs_set_until) {
-                if (sink_ && lcs_[idx])
+            } else if (now >= ns.lcs_set_until && lcs_[idx]) {
+                --lcs_count_[static_cast<std::size_t>(s)];
+                if (sink_)
                     sink_->on_event(
                         {now, EventKind::kLcsClear, n, s, 0, 0, 0});
                 lcs_[idx] = false;
@@ -136,6 +144,8 @@ CongestionState::update(Cycle now)
     if ((now % static_cast<Cycle>(cfg_.rcs_period)) == 0) {
         ++rcs_latch_events_;
         for (SubnetId s = 0; s < num_subnets_; ++s) {
+            if (skipped_ && skipped_[s])
+                continue;
             for (int r = 0; r < mesh_.num_regions(); ++r) {
                 bool any = false;
                 for (NodeId n : mesh_.nodes_in_region(r)) {
@@ -147,6 +157,7 @@ CongestionState::update(Cycle now)
                 const auto ridx = region_index(r, s);
                 if (rcs_latched_[ridx] != any) {
                     ++rcs_transitions_;
+                    rcs_count_[static_cast<std::size_t>(s)] += any ? 1 : -1;
                     rcs_latched_[ridx] = any;
                     if (sink_)
                         sink_->on_event({now,
@@ -166,6 +177,7 @@ CongestionState::glitch_rcs_for_fault(int region, SubnetId s, Cycle now)
     const bool flipped = !rcs_latched_[ridx];
     rcs_latched_[ridx] = flipped;
     ++rcs_transitions_;
+    rcs_count_[static_cast<std::size_t>(s)] += flipped ? 1 : -1;
     if (sink_)
         sink_->on_event({now,
                          flipped ? EventKind::kRcsSet : EventKind::kRcsClear,

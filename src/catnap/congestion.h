@@ -99,6 +99,15 @@ class CongestionState
     /** Attaches the trace-event sink (null disables emission). */
     void set_sink(EventSink *sink) { sink_ = sink; }
 
+    /**
+     * Subnets whose nodes update() leaves alone: @p skipped[s] != 0
+     * while MultiNoc skips subnet s (DESIGN.md §18). Only valid for a
+     * router-side metric (BFM/BFA), under which an asleep, empty
+     * router samples 0 and its LCS and RCS bits stay as they are.
+     * Null (the default) samples every subnet.
+     */
+    void set_skip_mask(const std::uint8_t *skipped) { skipped_ = skipped; }
+
     /** Recomputes LCS for every node and latches RCS on period boundaries. */
     CATNAP_PHASE_WRITE void update(Cycle now);
 
@@ -150,6 +159,15 @@ class CongestionState
         return lcs(node, s) || (cfg_.use_rcs && rcs(node, s));
     }
 
+    /** True when no LCS bit and no latched RCS bit of subnet @p s is
+     * set. Kept as counts, so it costs O(1). */
+    bool
+    subnet_clear(SubnetId s) const
+    {
+        const auto i = static_cast<std::size_t>(s);
+        return lcs_count_[i] == 0 && rcs_count_[i] == 0;
+    }
+
     /** Number of 0<->1 transitions of latched RCS bits (OR-net energy). */
     std::uint64_t rcs_transitions() const { return rcs_transitions_; }
 
@@ -199,6 +217,9 @@ class CongestionState
     std::vector<NodeSample> samples_; // [subnet][node]
     std::vector<bool> lcs_;           // [subnet][node]
     std::vector<bool> rcs_latched_;   // [subnet][region]
+    std::vector<int> lcs_count_;      // [subnet] LCS bits set
+    std::vector<int> rcs_count_;      // [subnet] latched RCS bits set
+    const std::uint8_t *skipped_ = nullptr; // see set_skip_mask()
     std::uint64_t rcs_transitions_ = 0;
     std::uint64_t rcs_latch_events_ = 0;
 };

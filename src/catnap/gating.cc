@@ -36,8 +36,10 @@ GatingPolicy::retry_state(SubnetId s, NodeId n) const
 void
 GatingPolicy::service_wake_requests(Cycle now)
 {
-    for (auto &subnet : routers_) {
-        for (Router *r : subnet) {
+    for (std::size_t s = 0; s < routers_.size(); ++s) {
+        if (skipped(s))
+            continue; // a wake request would have ended the skip
+        for (Router *r : routers_[s]) {
             if (!r->wake_requested())
                 continue;
             r->clear_wake_request();
@@ -176,6 +178,8 @@ CatnapGatingPolicy::step(Cycle now)
     // (DESIGN.md §10), and the priority chain skips failed subnets.
     const SubnetId promoted = fault_ ? fault_->never_sleep_subnet() : 0;
     for (std::size_t s = 0; s < routers_.size(); ++s) {
+        if (skipped(s))
+            continue;
         auto &subnet = routers_[s];
         for (Router *r : subnet) {
             if (fault_ && r->failed()) {

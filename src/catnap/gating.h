@@ -11,6 +11,7 @@
 #ifndef CATNAP_CATNAP_GATING_H
 #define CATNAP_CATNAP_GATING_H
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -77,6 +78,14 @@ class GatingPolicy
      */
     void engage_fault_mode(WakeFaultModel *fault) { fault_ = fault; }
 
+    /**
+     * Subnets the policy phase leaves alone: @p skipped[s] != 0 while
+     * MultiNoc skips subnet s (DESIGN.md §18) and settles its sleep
+     * cycles itself. MultiNoc sets it for CatnapGatingPolicy only.
+     * Null (the default) visits every subnet.
+     */
+    void set_skip_mask(const std::uint8_t *skipped) { skipped_ = skipped; }
+
     /** Wake-retry bookkeeping for one router. */
     struct WakeRetryState
     {
@@ -93,6 +102,13 @@ class GatingPolicy
     const WakeRetryState &retry_state(SubnetId s, NodeId n) const;
 
   protected:
+    /** True while subnet @p s is skipped (see set_skip_mask()). */
+    bool
+    skipped(std::size_t s) const
+    {
+        return skipped_ && skipped_[s];
+    }
+
     /** Services wake requests for every attached router. */
     CATNAP_PHASE_WRITE void service_wake_requests(Cycle now);
 
@@ -101,6 +117,7 @@ class GatingPolicy
 
     std::vector<std::vector<Router *>> routers_; // [subnet][node]
     WakeFaultModel *fault_ = nullptr;
+    const std::uint8_t *skipped_ = nullptr; // see set_skip_mask()
     std::vector<std::vector<WakeRetryState>> retry_; // [subnet][node]
 };
 

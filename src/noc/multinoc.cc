@@ -1,5 +1,6 @@
 #include "noc/multinoc.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "check/invariants.h"
@@ -78,6 +79,9 @@ MultiNoc::MultiNoc(const MultiNocConfig &cfg)
     subnet_params_.port_gating = cfg.gating == GatingKind::kFinePort;
 
     const int nodes = mesh_.num_nodes();
+    skipped_.assign(static_cast<std::size_t>(cfg.num_subnets), 0);
+    skip_woken_.assign(static_cast<std::size_t>(cfg.num_subnets), 0);
+    skip_since_.assign(static_cast<std::size_t>(cfg.num_subnets), kNoCycle);
 
     // Build routers, subnet by subnet, and wire the mesh links.
     routers_.resize(static_cast<std::size_t>(cfg.num_subnets));
@@ -146,6 +150,23 @@ MultiNoc::MultiNoc(const MultiNocConfig &cfg)
             ni->set_fault(fault_.get());
     }
 
+    // Skipping asleep subnets (DESIGN.md §18) is exact only where a
+    // sleeping router's congestion sample is 0 (router-side metrics)
+    // and nothing but the Catnap policy and the NIs changes its state
+    // (no fault plan).
+    const CongestionMetric metric = cfg.congestion.metric;
+    skip_enabled_ = cfg.num_subnets > 1 &&
+                    cfg.gating == GatingKind::kCatnap && !fault_ &&
+                    (metric == CongestionMetric::kBufferMax ||
+                     metric == CongestionMetric::kBufferAvg);
+    if (skip_enabled_) {
+        for (std::size_t s = 1; s < routers_.size(); ++s)
+            for (auto &r : routers_[s])
+                r->set_wake_note(&skip_woken_[s]);
+        congestion_.set_skip_mask(skipped_.data());
+        gating_->set_skip_mask(skipped_.data());
+    }
+
 #if defined(CATNAP_CHECKS) && CATNAP_CHECKS
     checker_ = std::make_unique<InvariantChecker>();
 #endif
@@ -183,26 +204,40 @@ MultiNoc::tick()
         fault_->pre_cycle(now);
 
     // Phase 1: evaluate (reads only state committed in earlier cycles).
-    for (auto &subnet : routers_)
-        for (auto &r : subnet)
+    // Skipped subnets sit out phases 1-3 (DESIGN.md §18).
+    for (std::size_t s = 0; s < routers_.size(); ++s) {
+        if (skipped_[s])
+            continue;
+        for (auto &r : routers_[s])
             r->evaluate(now);
+    }
     for (auto &ni : nis_)
         ni->evaluate(now);
 
     // Phase 2: commit queued effects.
-    for (auto &subnet : routers_)
-        for (auto &r : subnet)
+    for (std::size_t s = 0; s < routers_.size(); ++s) {
+        if (skipped_[s])
+            continue;
+        for (auto &r : routers_[s])
             r->commit(now);
+    }
     for (auto &ni : nis_)
         ni->commit(now);
 
     // Phase 3: congestion detection, then gating decisions. RCS glitches
     // strike right after the latch so they corrupt the freshly published
-    // value, exactly like a bit flip on the OR-tree output.
+    // value, exactly like a bit flip on the OR-tree output. A skip ends
+    // here, not at the start of the tick: a wake note from this cycle's
+    // NIs, or a lower-subnet LCS from this update, is acted on by this
+    // cycle's gating step.
     congestion_.update(now);
     if (fault_)
         fault_->post_congestion(now);
+    if (num_skipped_ > 0)
+        wake_skipped_subnets(now);
     gating_->step(now);
+    if (skip_enabled_)
+        skip_dormant_subnets(now);
     metrics_.roll_series(now);
 
 #if defined(CATNAP_CHECKS) && CATNAP_CHECKS
@@ -210,6 +245,74 @@ MultiNoc::tick()
 #endif
 
     ++now_;
+}
+
+void
+MultiNoc::settle_subnet(std::size_t s, Cycle commits,
+                        Cycle sleep_cycles) const
+{
+    for (const auto &r : routers_[s])
+        r->settle_skipped_cycles(commits, sleep_cycles);
+    skipped_router_cycles_ += sleep_cycles * routers_[s].size();
+}
+
+void
+MultiNoc::settle_skipped(SubnetId s) const
+{
+    const auto i = static_cast<std::size_t>(s);
+    const Cycle since = skip_since_[i];
+    if (since >= now_)
+        return; // not skipped (kNoCycle), or nothing skipped yet
+    settle_subnet(i, now_ - since, now_ - since);
+    skip_since_[i] = now_;
+}
+
+void
+MultiNoc::wake_skipped_subnets(Cycle now)
+{
+    for (std::size_t s = 1; s < skipped_.size(); ++s) {
+        if (!skipped_[s] ||
+            (!skip_woken_[s] &&
+             congestion_.subnet_clear(static_cast<SubnetId>(s) - 1))) {
+            continue;
+        }
+        // This cycle's commit was skipped too; its policy phase runs.
+        const Cycle since = skip_since_[s];
+        settle_subnet(s, now - since + 1, now - since);
+        skipped_[s] = 0;
+        skip_since_[s] = kNoCycle;
+        --num_skipped_;
+    }
+}
+
+void
+MultiNoc::skip_dormant_subnets(Cycle now)
+{
+    for (std::size_t s = 1; s < skipped_.size(); ++s) {
+        if (skipped_[s] ||
+            !congestion_.subnet_clear(static_cast<SubnetId>(s)))
+            continue;
+        const auto &subnet = routers_[s];
+        if (!std::all_of(subnet.begin(), subnet.end(),
+                         [](const auto &r) { return r->dormant(); }))
+            continue;
+        skipped_[s] = 1;
+        skip_woken_[s] = 0;
+        skip_since_[s] = now + 1;
+        ++num_skipped_;
+    }
+}
+
+std::uint64_t
+MultiNoc::router_visits() const
+{
+    const auto nodes = static_cast<std::uint64_t>(num_nodes());
+    std::uint64_t skipped = skipped_router_cycles_;
+    for (const Cycle since : skip_since_)
+        if (since < now_)
+            skipped += (now_ - since) * nodes;
+    return now_ * static_cast<std::uint64_t>(cfg_.num_subnets) * nodes -
+           skipped;
 }
 
 bool
@@ -233,6 +336,7 @@ MultiNoc::quiescent() const
 ActivityCounters
 MultiNoc::subnet_activity(SubnetId s) const
 {
+    settle_skipped(s);
     ActivityCounters total;
     for (const auto &r : routers_[static_cast<std::size_t>(s)])
         total.add(r->activity());

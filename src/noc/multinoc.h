@@ -166,15 +166,26 @@ class MultiNoc
         return *nis_[static_cast<std::size_t>(n)];
     }
 
-    Router &
+    /**
+     * Router @p n of subnet @p s. A router of a skipped subnet (DESIGN.md
+     * §18) is first brought up to date, so its counters read exactly as
+     * if every tick had visited it. While skipped it is asleep and
+     * changes only through request_wakeup() / note_expected_packet(),
+     * which end the skip before the next gating step. Settling is why
+     * a read is a barrier entry point: call it between ticks or from
+     * the serialised commit/policy section.
+     */
+    CATNAP_SHARD_SAFE CATNAP_PHASE_WRITE Router &
     router(SubnetId s, NodeId n)
     {
+        settle_skipped(s);
         return *routers_[static_cast<std::size_t>(s)]
                         [static_cast<std::size_t>(n)];
     }
-    const Router &
+    CATNAP_SHARD_SAFE CATNAP_PHASE_WRITE const Router &
     router(SubnetId s, NodeId n) const
     {
+        settle_skipped(s);
         return *routers_[static_cast<std::size_t>(s)]
                         [static_cast<std::size_t>(n)];
     }
@@ -203,6 +214,15 @@ class MultiNoc
      */
     double csc_percent() const;
 
+    /**
+     * The noc.router_visits work counter: router-cycles whose policy
+     * phase ran, summed over every tick so far. A tick visits every
+     * router but those of skipped subnets (DESIGN.md §18), so without
+     * a skip this is now() * subnets * nodes. It is deterministic, so
+     * tests pin it exactly where they cannot pin wall clock.
+     */
+    std::uint64_t router_visits() const;
+
     /** Deterministic RNG stream derived from the config seed. */
     Rng make_rng() { return rng_.split(); }
 
@@ -220,6 +240,8 @@ class MultiNoc
     CATNAP_SHARD_SAFE CATNAP_PHASE_WRITE void
     finalize_accounting()
     {
+        for (SubnetId s = 0; s < cfg_.num_subnets; ++s)
+            settle_skipped(s);
         for (auto &subnet : routers_) {
             for (auto &r : subnet) {
                 r->flush_sleep_accounting(now_);
@@ -229,6 +251,23 @@ class MultiNoc
     }
 
   private:
+    /** Adds the cycles subnet @p s skipped before now() to its routers'
+     * counters (reads may come between ticks or inside one). */
+    CATNAP_PHASE_WRITE void settle_skipped(SubnetId s) const;
+
+    /** Adds @p commits commits and @p sleep_cycles policy phases to
+     * every router of subnet @p s. */
+    CATNAP_PHASE_WRITE void settle_subnet(std::size_t s, Cycle commits,
+                                          Cycle sleep_cycles) const;
+
+    /** Ends the skip of each subnet that got a wake note or whose
+     * lower subnet raised LCS or RCS this cycle. */
+    CATNAP_PHASE_WRITE void wake_skipped_subnets(Cycle now);
+
+    /** Starts skipping each subnet s >= 1 whose routers are all
+     * dormant and whose LCS and RCS bits are all clear. */
+    CATNAP_PHASE_WRITE void skip_dormant_subnets(Cycle now);
+
     MultiNocConfig cfg_;
     ConcentratedMesh mesh_;
     SubnetParams subnet_params_;
@@ -249,6 +288,18 @@ class MultiNoc
     std::unique_ptr<InvariantChecker> checker_;
 
     Cycle now_ = 0;
+
+    // Skipping asleep subnets (DESIGN.md §18). The vectors hold one
+    // entry per subnet and never grow after construction.
+    bool skip_enabled_ = false;
+    int num_skipped_ = 0;
+    std::vector<std::uint8_t> skipped_;    ///< 1 while subnet s is skipped
+    std::vector<std::uint8_t> skip_woken_; ///< raised by routers' wake notes
+    /** First cycle of subnet s not yet added to its routers' counters;
+     * kNoCycle while s is not skipped. Reads settle, hence mutable. */
+    mutable std::vector<Cycle> skip_since_;
+    /** Router-cycles settled rather than visited (router_visits()). */
+    mutable std::uint64_t skipped_router_cycles_ = 0;
 };
 
 } // namespace catnap

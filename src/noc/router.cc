@@ -753,6 +753,33 @@ Router::flush_port_sleep_accounting(Cycle now)
     }
 }
 
+bool
+Router::dormant() const
+{
+    return power_state_ == PowerState::kSleep && !failed_ &&
+           !wake_requested_ && expected_packets_ == 0 &&
+           arrivals_.empty() && credit_events_.empty();
+}
+
+void
+Router::settle_skipped_cycles(std::uint64_t commits,
+                              std::uint64_t sleep_cycles)
+{
+    // A wake request or an announced packet may have arrived this
+    // cycle (that is what ends a skip); neither changes a commit.
+    CATNAP_ASSERT(power_state_ == PowerState::kSleep && !failed_ &&
+                      total_buffered_ == 0 && arrivals_.empty() &&
+                      credit_events_.empty(),
+                  "settling skipped cycles of a router that was not"
+                  " asleep and idle: node ", node_, " subnet ", subnet_);
+    const std::uint64_t cap =
+        static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+    const std::uint64_t streak =
+        std::min(cap, static_cast<std::uint64_t>(idle_streak_) + commits);
+    idle_streak_ = static_cast<int>(streak);
+    activity_.sleep_cycles += sleep_cycles;
+}
+
 void
 Router::account_power_cycle()
 {

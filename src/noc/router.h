@@ -116,14 +116,34 @@ class Router
      * Look-ahead wake signal (Section 3.3): asks the gating policy to
      * wake this router in the current cycle's policy phase.
      */
-    CATNAP_SHARD_SAFE CATNAP_PHASE_READ void request_wakeup() { wake_requested_ = true; }
+    CATNAP_SHARD_SAFE CATNAP_PHASE_READ void
+    request_wakeup()
+    {
+        wake_requested_ = true;
+        if (wake_note_)
+            *wake_note_ = 1;
+    }
 
     /**
      * Announces that a packet head has been committed one hop upstream
      * (or entered the NI's injection slot) and will eventually arrive.
      * Routers with announced packets refuse to sleep.
      */
-    CATNAP_SHARD_SAFE CATNAP_PHASE_READ void note_expected_packet() { ++expected_packets_; }
+    CATNAP_SHARD_SAFE CATNAP_PHASE_READ void
+    note_expected_packet()
+    {
+        ++expected_packets_;
+        if (wake_note_)
+            *wake_note_ = 1;
+    }
+
+    /**
+     * Registers a flag that request_wakeup() and note_expected_packet()
+     * raise, so MultiNoc learns in O(1) that a router of a skipped
+     * subnet needs its policy phase again (DESIGN.md §18). Null (the
+     * default) disables the note.
+     */
+    void set_wake_note(std::uint8_t *note) { wake_note_ = note; }
 
     /** True if the router can receive a flit arriving at @p arrival. */
     bool can_accept_at(Cycle arrival) const;
@@ -195,6 +215,26 @@ class Router
 
     /** Accounts one cycle of residency in the current power state. */
     CATNAP_SHARD_SAFE CATNAP_PHASE_WRITE void account_power_cycle();
+
+    /**
+     * True when the router is asleep and nothing can change its state
+     * until a wake signal or a lower-subnet congestion signal arrives:
+     * no wake request, no announced packet, no flit or credit in
+     * flight toward it. Each cycle such a router only counts one
+     * commit (idle_streak()) and one sleep cycle, so its subnet can be
+     * skipped and the cycles added later (DESIGN.md §18).
+     */
+    bool dormant() const;
+
+    /**
+     * Adds @p commits skipped commits to the idle streak and
+     * @p sleep_cycles skipped policy phases to the sleep-cycle counter
+     * of a sleeping, empty router: exactly what that many ticks would
+     * have added one by one.
+     */
+    CATNAP_SHARD_SAFE CATNAP_PHASE_WRITE void
+    settle_skipped_cycles(std::uint64_t commits,
+                          std::uint64_t sleep_cycles);
 
     // ------------------------------------------------------------------
     // Fault model (src/fault; DESIGN.md §10)
@@ -398,6 +438,7 @@ class Router
     std::array<Router *, kNumPorts> neighbors_{};
     LocalPortClient *local_client_ = nullptr;
     EventSink *sink_ = nullptr;
+    std::uint8_t *wake_note_ = nullptr; ///< see set_wake_note()
 
     /** Input buffers: [port][vc] flattened. */
     std::vector<RingFifo<Flit>> fifos_;

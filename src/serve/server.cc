@@ -21,9 +21,6 @@ namespace serve {
 
 namespace {
 
-/** Accept-loop poll granularity: how fast stop() is noticed. */
-constexpr int kAcceptPollMs = 200;
-
 /** Per-read chunk while reassembling frames. */
 constexpr std::size_t kReadChunk = 64 * 1024;
 
@@ -137,6 +134,10 @@ ServeServer::stop()
             return;
         running_ = false;
     }
+    // Wakes the accept loop's poll() at once: a shut-down listening
+    // socket polls readable and its accept() fails.
+    if (listen_fd_ >= 0)
+        ::shutdown(listen_fd_, SHUT_RDWR);
     if (accept_thread_.joinable())
         accept_thread_.join();
 
@@ -235,8 +236,8 @@ ServeServer::accept_loop()
         pollfd pfd{};
         pfd.fd = listen_fd_;
         pfd.events = POLLIN;
-        const int ready = ::poll(&pfd, 1, kAcceptPollMs);
-        if (ready <= 0)
+        // No timeout: stop() wakes the poll by shutting the socket down.
+        if (::poll(&pfd, 1, -1) <= 0)
             continue;
         const int fd = ::accept(listen_fd_, nullptr, nullptr);
         if (fd < 0)

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "noc/multinoc.h"
+#include "obs/trace_buffer.h"
 #include "test_util.h"
 #include "traffic/synthetic.h"
 
@@ -262,6 +263,193 @@ TEST(Gating, SleepFractionTracksLoad)
     EXPECT_GT(low, mid);
     EXPECT_GE(mid, high);
     EXPECT_GT(low, 0.5);
+}
+
+// ---------------------------------------------------------------------
+// Skipping asleep subnets (DESIGN.md §18). Every expected value below is
+// derived by hand from the power FSM: with t_idle_detect = 4 the idle
+// streak reaches 4 at cycle 3's commit, so Catnap puts subnets 1-3 to
+// sleep in cycle 3's policy phase, and they are skipped from cycle 4 on.
+// ---------------------------------------------------------------------
+
+/** First event of @p kind in @p trace matching @p pred, or null. */
+template <typename Pred>
+const TraceEvent *
+find_event(const EventTrace &trace, EventKind kind, Pred pred)
+{
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const TraceEvent &ev = trace.at(i);
+        if (ev.kind == kind && pred(ev))
+            return &trace.at(i);
+    }
+    return nullptr;
+}
+
+TEST(SubnetSkip, RouterVisitsFollowTheGatingTimeline)
+{
+    const MultiNocConfig cfg = multi_noc_config(4, GatingKind::kCatnap);
+    ASSERT_EQ(cfg.label(), "4NT-128b-PG");
+    ASSERT_EQ(cfg.t_idle_detect, 4);
+    MultiNoc net(cfg);
+    // Cycles 0-3 visit all 4 x 64 routers; from cycle 4 only subnet 0.
+    net.run(3);
+    EXPECT_EQ(net.router_visits(), 3u * 256u);
+    net.run(1);
+    EXPECT_EQ(net.router_visits(), 4u * 256u);
+    net.run(996);
+    // 4 * 256 + (1000 - 4) * 64 = 64 * 1000 + 768.
+    EXPECT_EQ(net.router_visits(), 64768u);
+
+    // Ungated, every router is visited every cycle.
+    MultiNoc on(multi_noc_config(4, GatingKind::kAlwaysOn));
+    on.run(1000);
+    EXPECT_EQ(on.router_visits(), 256000u);
+}
+
+TEST(SubnetSkip, MidSkipReadsCountEverySleepCycle)
+{
+    MultiNoc net(multi_noc_config(4, GatingKind::kCatnap));
+    const MultiNoc &view = net;
+    net.run(500);
+    for (SubnetId s = 1; s < 4; ++s) {
+        for (NodeId n = 0; n < 64; n += 21) {
+            const Router &r = view.router(s, n);
+            // Asleep from cycle 3 (the entry cycle counts as asleep).
+            EXPECT_EQ(r.activity().sleep_cycles, 497u);
+            EXPECT_EQ(r.activity().active_cycles, 3u);
+            EXPECT_EQ(r.idle_streak(), 500); // commits 0..499
+        }
+    }
+    net.run(37);
+    EXPECT_EQ(view.router(3, 63).activity().sleep_cycles, 534u);
+    EXPECT_EQ(view.router(3, 63).idle_streak(), 537);
+    EXPECT_EQ(view.subnet_activity(2).sleep_cycles, 64u * 534u);
+    EXPECT_EQ(view.total_activity().active_cycles,
+              64u * 537u + 3u * 64u * 3u);
+    // One open sleep period of 537 - 3 cycles, less T_breakeven = 12.
+    net.finalize_accounting();
+    EXPECT_EQ(view.router(1, 0).activity().compensated_sleep_cycles, 522u);
+    EXPECT_EQ(net.router_visits(), 64u * 537u + 768u);
+}
+
+TEST(SubnetSkip, LowerSubnetLcsWakesSkippedSubnetInTheSameCycle)
+{
+    MultiNocConfig cfg = multi_noc_config(4, GatingKind::kCatnap);
+    cfg.congestion.threshold = 0.0; // any buffered flit sets LCS
+    MultiNoc net(cfg);
+    EventTrace trace;
+    net.set_event_sink(&trace);
+    net.run(100);
+    ASSERT_EQ(count_state(net, 1, PowerState::kSleep), 64);
+    ASSERT_EQ(net.router_visits(), 64u * 100u + 768u); // 1-3 skipped
+
+    PacketDesc pkt;
+    pkt.id = 1;
+    pkt.src = 0;
+    pkt.dst = 7;
+    pkt.size_bits = 512;
+    pkt.created = net.now();
+    net.offer_packet(pkt); // lands in subnet 0: nothing is congested
+    const TraceEvent *lcs = nullptr;
+    while (lcs == nullptr && net.now() < 200) {
+        net.tick();
+        lcs = find_event(trace, EventKind::kLcsSet,
+                         [](const TraceEvent &ev) { return ev.subnet == 0; });
+    }
+    ASSERT_NE(lcs, nullptr);
+    const Cycle t = lcs->cycle;
+    const NodeId m = lcs->node;
+    ASSERT_EQ(net.now(), t + 1);
+
+    // Figure 5: the subnet-1 router at the congested node starts waking
+    // in the cycle the lower subnet's LCS rises, for the RCS reason.
+    const TraceEvent *wake = find_event(
+        trace, EventKind::kRouterWakeBegin,
+        [](const TraceEvent &ev) { return ev.subnet == 1; });
+    ASSERT_NE(wake, nullptr);
+    EXPECT_EQ(wake->cycle, t);
+    EXPECT_EQ(wake->node, m);
+    EXPECT_EQ(wake->a, static_cast<std::int32_t>(WakeReason::kRcs));
+
+    // Cycles 0-2 active, 3..t-1 asleep, t waking (counted active).
+    const Router &r = static_cast<const MultiNoc &>(net).router(1, m);
+    EXPECT_EQ(r.power_state(), PowerState::kWakeup);
+    EXPECT_EQ(r.activity().sleep_cycles, t - 3);
+    EXPECT_EQ(r.activity().active_cycles, 4u);
+    EXPECT_EQ(r.idle_streak(), static_cast<int>(t + 1));
+}
+
+TEST(SubnetSkip, SettledIdleStreakLetsRouterSleepAgainAtOnce)
+{
+    MultiNoc net(multi_noc_config(4, GatingKind::kCatnap));
+    const MultiNoc &view = net;
+    net.run(100);
+    // A wake signal between ticks; cycle 100's policy phase services it.
+    net.router(2, 9).request_wakeup();
+    net.run(1);
+    EXPECT_EQ(view.router(2, 9).power_state(), PowerState::kWakeup);
+    EXPECT_EQ(view.router(2, 9).wake_done_cycle(), 110u);
+    net.run(9); // through cycle 109: still waking
+    EXPECT_EQ(view.router(2, 9).power_state(), PowerState::kWakeup);
+    EXPECT_EQ(view.router(2, 9).idle_streak(), 110);
+    // Cycle 110: the wake completes in commit and, the buffers having
+    // been empty all along, the policy phase puts it straight back.
+    net.run(1);
+    EXPECT_EQ(view.router(2, 9).power_state(), PowerState::kSleep);
+    EXPECT_EQ(view.router(2, 9).idle_streak(), 111);
+    EXPECT_EQ(view.router(2, 9).activity().sleep_transitions, 2u);
+
+    net.run(89); // to cycle 200
+    const ActivityCounters &a = view.router(2, 9).activity();
+    EXPECT_EQ(a.sleep_cycles, 97u + 90u); // cycles 3..99 and 110..199
+    EXPECT_EQ(a.active_cycles, 3u + 10u); // cycles 0..2 and 100..109
+    // Its neighbours never woke.
+    EXPECT_EQ(view.router(2, 8).activity().sleep_cycles, 197u);
+    net.finalize_accounting();
+    // Periods of 97 and 90 cycles, each less T_breakeven = 12.
+    EXPECT_EQ(view.router(2, 9).activity().compensated_sleep_cycles,
+              85u + 78u);
+    // Cycles 0-3: 256 routers; 4-99: 64; 100-110: subnets 0 and 2;
+    // 111-199: 64 again.
+    EXPECT_EQ(net.router_visits(),
+              4u * 256u + 96u * 64u + 11u * 128u + 89u * 64u);
+}
+
+TEST(SubnetSkip, NiWakeSignalEndsTheSkipInTheSameCycle)
+{
+    // Round-robin selection sends the second packet of a node to subnet
+    // 1 while it is skipped; only the NI's wake signal can end the skip.
+    MultiNoc net(multi_noc_config(4, GatingKind::kCatnap,
+                                  SelectorKind::kRoundRobin));
+    EventTrace trace;
+    net.set_event_sink(&trace);
+    net.run(100);
+    for (PacketId id = 1; id <= 2; ++id) {
+        PacketDesc pkt;
+        pkt.id = id;
+        pkt.src = 5;
+        pkt.dst = 60;
+        pkt.size_bits = 512;
+        pkt.created = net.now();
+        net.offer_packet(pkt);
+    }
+    int delivered = 0;
+    net.ni(60).set_packet_sink([&](const Flit &, Cycle) { ++delivered; });
+    while (delivered < 2 && net.now() < 1000)
+        net.tick();
+    EXPECT_EQ(delivered, 2);
+
+    const TraceEvent *select = find_event(
+        trace, EventKind::kSubnetSelect,
+        [](const TraceEvent &ev) { return ev.subnet == 1; });
+    ASSERT_NE(select, nullptr);
+    const TraceEvent *wake = find_event(
+        trace, EventKind::kRouterWakeBegin,
+        [](const TraceEvent &ev) { return ev.subnet == 1; });
+    ASSERT_NE(wake, nullptr);
+    EXPECT_EQ(wake->cycle, select->cycle);
+    EXPECT_EQ(wake->node, 5);
+    EXPECT_EQ(wake->a, static_cast<std::int32_t>(WakeReason::kLookahead));
 }
 
 } // namespace

@@ -836,6 +836,27 @@ TEST(ServeServer, FinishedConnectionHandlersAreReaped)
     server.stop();
 }
 
+TEST(ServeServer, StopWakesTheAcceptLoopAtOnce)
+{
+    // stop() must not wait out a poll timeout in the accept loop: it
+    // shuts the listening socket down, which wakes the loop at once.
+    using Ms = std::chrono::duration<double, std::milli>;
+    const ServeConfig cfg = server_config(fresh_dir("stop"));
+    {
+        ServeServer server(cfg);
+        server.start();
+        const auto t0 = std::chrono::steady_clock::now();
+        server.stop();
+        EXPECT_LT(Ms(std::chrono::steady_clock::now() - t0).count(), 100.0);
+    }
+    ServeServer server(cfg);
+    server.start();
+    ASSERT_TRUE(serve::ping(client_options(cfg))); // loop back in poll()
+    const auto t0 = std::chrono::steady_clock::now();
+    server.stop();
+    EXPECT_LT(Ms(std::chrono::steady_clock::now() - t0).count(), 100.0);
+}
+
 TEST(ServeServer, EvictionBoundHoldsUnderServedSweeps)
 {
     const std::string dir = fresh_dir("bound");
